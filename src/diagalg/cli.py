@@ -4,6 +4,8 @@ verdicts:
 
     0  verdict positive        2  unknown / semi-decided only
     1  verdict negative        3  input or usage error
+                               4  internal error (a bug; the report names
+                                  the exception type)
 
 Inputs come from --input FILE (or '-' for stdin) in the textual formats of
 textio; small inputs can be passed inline with --text.  Reports always echo
@@ -55,6 +57,7 @@ EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def _read_input(args):
@@ -215,7 +218,11 @@ def cmd_tree(args):
 
 def cmd_spec0(args):
     field = parse_field(args.field)
-    n = int(_read_input(args).strip().split()[-1])
+    words = _read_input(args).split()
+    try:
+        n = int(words[-1])
+    except (IndexError, ValueError):
+        raise ParseError(f"spec0 needs a point count, got {' '.join(words)!r}") from None
     A = FunctionAlgebra(field, n)
     ideals = spec0(A)
     report = {"command": "spec0", "field": format_field(field), "points": n,
@@ -297,8 +304,17 @@ def cmd_suite(args):
     return _emit(report, EXIT_POSITIVE if ok else EXIT_NEGATIVE)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the input-error code, not argparse's 2, which
+    the contract reads as "unknown"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diagalg",
         description="exact diagonalizability workbench over Q and prime fields")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -360,6 +376,13 @@ def main(argv=None):
         _emit({"command": args.command, "verdict": "input_error",
                "error": f"{type(exc).__name__}: {exc}"}, EXIT_INPUT)
         return EXIT_INPUT
+    except Exception as exc:
+        import traceback  # only on this path: it adds 0.5 MB to every start-up
+
+        traceback.print_exc(file=sys.stderr)
+        _emit({"command": args.command, "verdict": "internal_error",
+               "error": f"{type(exc).__name__}: {exc}"}, EXIT_INTERNAL)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,13 +1,19 @@
 """Exception types shared across the package.
 
-Every error raised by library code derives from AlgebraError, so callers
-(and the CLI) can separate mathematical precondition failures from plain
-bugs.
+Every error raised by library code for bad input derives from AlgebraError,
+so callers (and the CLI) can separate mathematical precondition failures
+from plain bugs.  InvariantViolated is the one bug the library reports
+itself: a certificate check that failed on the library's own output.
 """
 
 
 class AlgebraError(Exception):
     pass
+
+
+class InvariantViolated(AssertionError):
+    """A certificate check failed; unlike ``assert``, it still runs under
+    ``python -O``."""
 
 
 # -- fields ----------------------------------------------------------------

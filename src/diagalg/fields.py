@@ -21,25 +21,43 @@ from math import gcd, lcm
 from .errors import (
     CapacityExceeded,
     FieldMismatch,
+    InvariantViolated,
     ZeroPolynomial,
 )
 
 # Rational root extraction refuses to enumerate divisors of integers beyond
-# this many bits; prime fields refuse exhaustive root scans beyond this size.
+# this many bits.  Roots over F_p need no such bound: they are split out by
+# gcds with (x+a)^((p-1)/2) - 1, which costs O(log p) polynomial products.
 DEFAULT_MAX_BITS = 256
-MAX_ENUMERABLE_PRIME = 1_000_003
+
+# Miller-Rabin with the first 13 prime bases is deterministic below this
+# bound (Sorenson-Webster 2015); larger primality claims are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
-def _is_prime(p):
-    if p < 2:
+def _is_prime(n):
+    if n < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        raise CapacityExceeded(f"cannot certify primality of a {n.bit_length()}-bit integer")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -156,9 +174,6 @@ class PrimeField:
 
     def sort_key(self, a):
         return a
-
-    def elements(self):
-        return range(self.p)
 
     def format_scalar(self, a):
         return f"{a} mod {self.p}"
@@ -504,18 +519,140 @@ def _rational_roots(f, max_bits):
     return roots, f
 
 
+# Roots over F_p work on plain int coefficient lists mod p, lowest degree
+# first and trimmed, with monic divisors: Polynomial would re-coerce every
+# coefficient through the field on every operation.
+
+def _sub_p(a, b, p):
+    out = [(x - y) % p for x, y in zip(a, b)]
+    out += [x % p for x in a[len(b):]] + [-y % p for y in b[len(a):]]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _divmod_p(a, b, p):
+    """Quotient and remainder of a by the monic b."""
+    db = len(b) - 1
+    r = list(a)
+    q = [0] * max(0, len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = r[k + db] % p
+        if c:
+            q[k] = c
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    r = [c % p for c in r[:db]]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _mulmod_p(a, b, f, p):
+    """a*b mod the monic f."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _divmod_p(out, f, p)[1]
+
+
+def _powmod_p(b, e, f, p):
+    """b**e mod the monic f, by left-to-right square and multiply."""
+    r = [1]
+    for bit in bin(e)[2:]:
+        r = _mulmod_p(r, r, f, p)
+        if bit == "1":
+            r = _mulmod_p(r, b, f, p)
+    return r
+
+
+def _gcd_p(a, b, p):
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _divmod_p(a, b, p)[1]
+    return a
+
+
+def _eval_p(f, r, p):
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * r + c) % p
+    return acc
+
+
+def _certify_roots(f, roots, p):
+    """Raise unless ``roots`` are deg f distinct elements of F_p at which the
+    monic f vanishes, which makes f exactly the product of the x - r."""
+    d = len(f) - 1
+    ok = len(roots) == d and len(set(roots)) == d and all(0 <= r < p for r in roots)
+    if ok and d == p:
+        # p distinct roots: f must be x^p - x, which vanishes on all of F_p
+        ok = f == [0, p - 1] + [0] * (p - 2) + [1]
+    elif ok:
+        ok = all(_eval_p(f, r, p) == 0 for r in roots)
+    if not ok:
+        raise InvariantViolated(f"root certificate failed over F_{p}: {roots}")
+
+
+def _linear_roots(f, p, h=None):
+    """The sorted roots of the monic f, known to be a product of distinct
+    linear factors over F_p.  ``h``, when given, is x^(p//2) mod f.
+
+    Degree 1 and degree p (f = x^p - x) are read off.  Otherwise p is odd and
+    g = gcd(f, (x+a)^((p-1)/2) - 1) keeps exactly the roots r with r + a a
+    nonzero square.  For two distinct roots, at least (p-1)/2 of the a in
+    F_p put them on different sides, so trying a = 0, 1, 2, ... splits f
+    within p steps, with no randomness.  An a that failed for f fails for both parts,
+    so each part resumes where its parent stopped.
+    """
+    roots = []
+    todo = [(f, 0, h)]
+    while todo:
+        g, a, h = todo.pop()
+        d = len(g) - 1
+        if d == 0:
+            continue
+        if d == 1:
+            roots.append(-g[0] % p)
+            continue
+        if d == p:
+            roots.extend(range(p))
+            continue
+        for a in range(a, p):
+            if h is None:
+                h = _powmod_p([a, 1], (p - 1) // 2, g, p)
+            u = _gcd_p(g, _sub_p(h, [1], p), p)
+            if 0 < len(u) - 1 < d:
+                break
+            h = None
+        else:
+            raise InvariantViolated(f"no split of a degree-{d} factor over F_{p}")
+        todo.append((u, a + 1, None))
+        todo.append((_divmod_p(g, u, p)[0], a + 1, None))
+    roots.sort()
+    _certify_roots(f, roots, p)
+    return roots
+
+
 def poly_roots_in_field(f, max_bits=DEFAULT_MAX_BITS):
     """The distinct roots of f lying in its own field (irrational or
-    extension-field roots are simply not reported)."""
+    extension-field roots are simply not reported).  Over F_p they are the
+    roots of gcd(f, x^p - x), split out by _linear_roots."""
     if f.is_zero():
         raise ZeroPolynomial("root extraction on 0")
     F = f.field
     if f.degree == 0:
         return []
     if F.char > 0:
-        if F.char > MAX_ENUMERABLE_PRIME:
-            raise CapacityExceeded(f"root scan over F_{F.char}")
-        return [a for a in F.elements() if f(a) == F.zero]
+        p = F.char
+        fl = list(f.monic().coeffs)
+        xp = _powmod_p([0, 1], p, fl, p)
+        return _linear_roots(_gcd_p(fl, _sub_p(xp, [0, 1], p), p), p)
     roots, _ = _rational_roots(f.monic(), max_bits)
     return sorted(set(roots))
 
@@ -524,10 +661,12 @@ def poly_splits_simply(f, field=None, max_bits=DEFAULT_MAX_BITS):
     """Decide whether f is a product of pairwise distinct linear factors
     over its field, and if so return the sorted roots.
 
-    Over F_p the criterion is x^p = x mod f (x^p computed by repeated
-    squaring), which covers squarefreeness and splitting in one test.  Over
-    Q, squarefreeness is checked through gcd(f, f'), then rational roots are
-    extracted by bounded divisor enumeration with full deflation.
+    Over F_p the criterion is x^p = x mod f, which covers squarefreeness
+    and splitting in one test.  For odd p it is computed as x * h^2 from
+    h = x^((p-1)/2) mod f, and h - 1 is then the first splitting gcd of the
+    root extraction (_linear_roots), so no field element is enumerated.
+    Over Q, squarefreeness is checked through gcd(f, f'), then rational
+    roots are extracted by bounded divisor enumeration with full deflation.
     """
     if f.is_zero():
         raise ZeroPolynomial("splitting test on 0")
@@ -539,16 +678,17 @@ def poly_splits_simply(f, field=None, max_bits=DEFAULT_MAX_BITS):
         return SplitsReport(True, roots=[])
     if F.char > 0:
         p = F.char
-        xp = Polynomial.x(F).pow_mod(p, f)
-        if xp != Polynomial.x(F) % f:
+        fl = list(f.coeffs)
+        h = _powmod_p([0, 1], p // 2, fl, p)
+        xp = _mulmod_p(h, h, fl, p)
+        if p % 2:
+            xp = _mulmod_p(xp, [0, 1], fl, p)
+        if xp != _divmod_p([0, 1], fl, p)[1]:
             g = f.gcd(f.derivative()) if not f.derivative().is_zero() else f
             if g.degree > 0:
                 return SplitsReport(False, reason="repeated factor")
             return SplitsReport(False, reason="irreducible factor of degree > 1")
-        if p > MAX_ENUMERABLE_PRIME:
-            raise CapacityExceeded(f"root scan over F_{p}")
-        roots = [a for a in F.elements() if f(a) == F.zero]
-        return SplitsReport(True, roots=sorted(roots, key=F.sort_key))
+        return SplitsReport(True, roots=_linear_roots(fl, p, h))
     g = f.gcd(f.derivative())
     if g.degree > 0:
         return SplitsReport(False, reason="repeated factor")

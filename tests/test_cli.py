@@ -184,6 +184,39 @@ class TestCliCommands:
                             "field Q\nband 0: pre=[] per=[1]")
         assert code == 3  # wrong field surfaces as an input error
 
+    def test_spec0_bad_point_count_is_input_error(self, capsys):
+        for text in ("", "   ", "three"):
+            code, rep = run_cli(capsys, "spec0", "--field", "Q", "--text", text)
+            assert code == 3 and rep["verdict"] == "input_error"
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        def broken(algebra):
+            raise KeyError("lost")
+        monkeypatch.setattr(cli, "spec0", broken)
+        code, rep = run_cli(capsys, "spec0", "--field", "F3", "--text", "3")
+        assert code == 4 and rep["verdict"] == "internal_error"
+        assert rep["error"].startswith("KeyError")
+
+    def test_usage_errors_exit_as_input_errors(self, capsys):
+        for argv in (["nosuch"], [], ["crt", "--text", "[1,1]"],
+                     ["torsion", "--depth", "deep"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 3
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["-h"])
+        assert exc.value.code == 0
+
+    def test_primes_too_large_to_scan(self, capsys):
+        code, rep = run_cli(capsys, "diag-finite", "--field", "Fp:1000033",
+                            "--text", "[[1,0],[0,2]]")
+        assert code == 0
+        assert rep["eigenvalues"] == ["1 mod 1000033", "2 mod 1000033"]
+        code, rep = run_cli(capsys, "crt", "--field", "Fp:1000000000000000003",
+                            "--text", "[2,-3,1]")
+        assert code == 0 and rep["roots"] == ["1 mod 1000000000000000003",
+                                              "2 mod 1000000000000000003"]
+
     def test_stdin_input(self, capsys, monkeypatch, tmp_path):
         f = tmp_path / "m.txt"
         f.write_text("[[1,0],[0,1]]")

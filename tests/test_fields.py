@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from diagalg.errors import CapacityExceeded, FieldMismatch, ZeroPolynomial
+from diagalg.errors import CapacityExceeded, FieldMismatch, InvariantViolated, ZeroPolynomial
 from diagalg.fields import (
     EPSeq,
     GF,
     Polynomial,
     QQ,
+    _certify_roots,
+    _is_prime,
     epseq_op,
     epseq_shift,
     poly_roots_in_field,
@@ -30,6 +32,29 @@ class TestFields:
         with pytest.raises(ValueError):
             GF(1)
         assert GF(2).char == 2 and GF(97).char == 97
+
+    def test_miller_rabin_agrees_with_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+        assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+            [n for n in range(10 ** 5) if trial(n)]
+
+    def test_strong_pseudoprime_rejected(self):
+        # 151 * 751 * 28351 passes the strong test to bases 2, 3, 5 and 7
+        assert 3215031751 == 151 * 751 * 28351
+        assert not _is_prime(3215031751)
+        with pytest.raises(ValueError):
+            GF(3215031751)
+
+    def test_large_primes(self):
+        assert GF(10 ** 18 + 3).p == 10 ** 18 + 3
+        assert GF(2 ** 61 - 1).char == 2 ** 61 - 1
+        with pytest.raises(ValueError):
+            GF(2 ** 61 + 1)
+        # the Mersenne prime 2^89 - 1 lies beyond the proven range of the
+        # 13 Miller-Rabin bases
+        with pytest.raises(CapacityExceeded):
+            GF(2 ** 89 - 1)
 
     def test_rational_scalars_reduced(self):
         a = QQ.scalar("6/4")
@@ -150,6 +175,64 @@ class TestSplitsSimply:
     def test_roots_in_field_helper(self):
         f = Polynomial.from_roots(QQ, [1, 2]) * P(QQ, 1, 0, 1)
         assert poly_roots_in_field(f) == [Fraction(1), Fraction(2)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 65521])
+    def test_root_extraction_matches_exhaustive_evaluation(self, p):
+        F = GF(p)
+        rng = random.Random(p)
+        x = Polynomial.x(F)
+        if p == 2:
+            irreducible = P(F, 1, 1, 1)
+        else:
+            nonresidue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+            irreducible = P(F, -nonresidue, 0, 1)
+        cases = [Polynomial(F, [0, -1] + [0] * (p - 2) + [1]),  # x^p - x
+                 x, x * (x - Polynomial.one(F))]
+        for _ in range(4 if p == 65521 else 40):
+            roots = rng.sample(range(p), rng.randint(1, min(p, 6)))
+            if rng.random() < 0.3:
+                roots.append(0)
+            f = Polynomial.from_roots(F, roots)  # a repeated 0 when drawn twice
+            if rng.random() < 0.3:
+                f = f * Polynomial.from_roots(F, [rng.choice(roots)])
+            if rng.random() < 0.3:
+                f = f * irreducible
+            cases.append(f)
+        for f in cases:
+            # sparse evaluation at every element, so x^p - x stays cheap
+            terms = [(k, c) for k, c in enumerate(f.coeffs) if c]
+            roots = [a for a in range(p) if sum(c * pow(a, k, p) for k, c in terms) % p == 0]
+            assert poly_roots_in_field(f) == roots
+            rep = poly_splits_simply(f)
+            assert rep.splits == (len(roots) == f.degree)
+            if rep.splits:
+                assert rep.roots == roots
+
+    @pytest.mark.parametrize("p", [1_000_033, 2 ** 61 - 1])
+    def test_roots_over_primes_too_large_to_scan(self, p):
+        F = GF(p)
+        roots = sorted({0, 1, 2, 12345, p // 3, p - 1})
+        f = Polynomial.from_roots(F, roots)
+        rep = poly_splits_simply(f)
+        assert rep.splits and rep.roots == roots
+        nonresidue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+        g = f * P(F, -nonresidue, 0, 1)
+        assert poly_roots_in_field(g) == roots
+        assert "irreducible" in poly_splits_simply(g).reason
+        assert "repeated" in poly_splits_simply(f * P(F, -2, 1)).reason
+
+    def test_root_certificate_rejects_wrong_roots(self):
+        f = list(Polynomial.from_roots(GF(7), [1, 2, 3]).coeffs)
+        _certify_roots(f, [1, 2, 3], 7)
+        for bad in ([1, 2], [1, 2, 2], [1, 2, 4], [1, 2, 10], [1, 2, 3, 4]):
+            with pytest.raises(InvariantViolated):
+                _certify_roots(f, bad, 7)
+        xp_minus_x = [0, 6, 0, 0, 0, 0, 0, 1]
+        _certify_roots(xp_minus_x, list(range(7)), 7)
+        with pytest.raises(InvariantViolated):
+            _certify_roots(xp_minus_x, [0, 1, 2, 3, 4, 5, 5], 7)
+        with pytest.raises(InvariantViolated):
+            _certify_roots([1, 6, 0, 0, 0, 0, 0, 1], list(range(7)), 7)
 
     def test_capacity_guard(self):
         f = P(QQ, 2 ** 300 + 1, 0, 1)

@@ -5,8 +5,6 @@ from .fields import (
     GF,
     Polynomial,
     QQ,
-    epseq_op,
-    epseq_shift,
     poly_splits_simply,
     poly_squarefree_part,
 )

@@ -228,7 +228,7 @@ def cmd_spec0(args):
     report = {"command": "spec0", "field": format_field(field), "points": n,
               "verdict": "ok",
               "ideals": [{"point": m.point, "codim": 1,
-                          "basis_size": len(m.basis)} for m in ideals]}
+                          "basis_size": m.basis_size} for m in ideals]}
     return _emit(report, EXIT_POSITIVE)
 
 

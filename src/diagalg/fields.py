@@ -836,15 +836,3 @@ class EPSeq:
         per = ",".join(fmt(c) for c in self.per)
         return f"pre=[{pre}];per=[{per}]"
 
-
-def epseq_op(a, b, op):
-    """Pointwise add or mul of two sequences over the same field."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def epseq_shift(a, d):
-    return a.shift(d)

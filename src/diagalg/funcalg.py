@@ -35,6 +35,7 @@ from .linalg import (
     Subspace,
     commutant,
     diagonalize_finite,
+    matrix_from_vec,
     matrix_to_vec,
     minimal_polynomial,
     poly_at_matrix,
@@ -78,23 +79,31 @@ class FunctionAlgebra:
 
 
 class PointIdeal:
-    """Maximal ideal of K^X vanishing at one point, with its codim-1 basis."""
+    """Maximal ideal of K^X vanishing at one point, spanned by the
+    indicators of the other points; the basis is built only when read."""
 
-    __slots__ = ("point", "basis")
+    __slots__ = ("algebra", "point")
 
-    def __init__(self, point, basis):
+    def __init__(self, algebra, point):
+        self.algebra = algebra
         self.point = point
-        self.basis = basis
+
+    @property
+    def basis_size(self):
+        return self.algebra.size - 1
+
+    @property
+    def basis(self):
+        A = self.algebra
+        return [A.delta(y) for y in range(A.size) if y != self.point]
 
     def __repr__(self):
         return f"m_{self.point}"
 
 
 def spec0(A):
-    """The open maximal ideals of K^X: one per point, m_x = ker(eval at x),
-    spanned by the indicators of the other points."""
-    return [PointIdeal(x, [A.delta(y) for y in range(A.size) if y != x])
-            for x in range(A.size)]
+    """The open maximal ideals of K^X: one per point, m_x = ker(eval at x)."""
+    return [PointIdeal(A, x) for x in range(A.size)]
 
 
 class SetMap:
@@ -141,33 +150,33 @@ class AlgebraHom:
 
     __slots__ = ("field", "dom_size", "cod_size", "matrix")
 
-    def __init__(self, field, dom_size, cod_size, matrix, verify=True):
+    def __init__(self, field, dom_size, cod_size, matrix):
         self.field = field
         self.dom_size = dom_size
         self.cod_size = cod_size
         self.matrix = matrix
         if matrix.nrows != cod_size or (cod_size > 0 and matrix.ncols != dom_size):
             raise SizeMismatch("hom matrix shape mismatch")
-        if verify:
-            self._verify()
+        self._verify()
 
     def _verify(self):
+        """The images g_y of the point masses must be idempotent, pairwise
+        orthogonal and sum to 1.  For 0/1 entries that says exactly: every
+        entry satisfies v^2 = v and every row has exactly one nonzero entry,
+        which is checked in one pass per row."""
         F = self.field
-        cols = [self.matrix.col(y) for y in range(self.dom_size)]
-        for y, g in enumerate(cols):
-            for x, v in enumerate(g):
+        zero = F.zero
+        for row in self.matrix.rows:
+            hit = None
+            for y, v in enumerate(row):
+                if v == zero:
+                    continue
                 if F.mul(v, v) != v:
                     raise NotAlgebraHom(f"image of point mass {y} is not idempotent")
-            for y2 in range(y + 1, self.dom_size):
-                for a, b in zip(g, cols[y2]):
-                    if F.mul(a, b) != F.zero:
-                        raise NotAlgebraHom(
-                            f"images of point masses {y} and {y2} overlap")
-        for x in range(self.cod_size):
-            total = F.zero
-            for y in range(self.dom_size):
-                total = F.add(total, self.matrix.rows[x][y])
-            if total != F.one:
+                if hit is not None:
+                    raise NotAlgebraHom(f"images of point masses {hit} and {y} overlap")
+                hit = y
+            if hit is None:
                 raise NotAlgebraHom("not unital")
 
     def apply(self, f):
@@ -572,20 +581,12 @@ def quotient_algebra(A, J):
     standard basis vectors at the non-pivot coordinates of J's RREF basis."""
     F = A.field
     d = A.dim
-    pivots = []
-    for row in J.rows:
-        pivots.append(next(j for j, x in enumerate(row) if x != F.zero))
-    rep_coords = [j for j in range(d) if j not in set(pivots)]
+    pivots = set(J.pivots())
+    rep_coords = [j for j in range(d) if j not in pivots]
     k = len(rep_coords)
 
     def reduce_mod_j(vec):
-        v = list(vec)
-        for piv, row in zip(pivots, J.rows):
-            c = v[piv]
-            if c != F.zero:
-                for j in range(d):
-                    if row[j] != F.zero:
-                        v[j] = F.sub(v[j], F.mul(c, row[j]))
+        v = J.residue(vec)
         return [v[j] for j in rep_coords]
 
     table = []
@@ -688,7 +689,7 @@ def double_commutant_check(A):
     lam_span = Subspace.from_vectors(F, d * d, [matrix_to_vec(m) for m in rep.lambdas])
     rho_span = Subspace.from_vectors(F, d * d, [matrix_to_vec(m) for m in rep.rhos])
     comm = commutant(rep.lambdas)
-    double = commutant([_vec_to_matrix(F, row, d) for row in comm.rows])
+    double = commutant([matrix_from_vec(F, row, d) for row in comm.rows])
     report = DoubleCommutantReport(
         commutant_is_rho=(comm == rho_span),
         double_is_lambda=(double == lam_span),
@@ -697,10 +698,6 @@ def double_commutant_check(A):
         commutant_dim=comm.dim,
     )
     return report
-
-
-def _vec_to_matrix(field, flat, n):
-    return Matrix(field, [list(flat[i * n:(i + 1) * n]) for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from math import gcd
 
 from .errors import (
     InvalidFamily,
+    InvariantViolated,
     NonCommuting,
     NotIdempotent,
     NotSummable,
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .fields import EPSeq, check_same_field, normalize_ep, poly_roots_in_field
 from .linalg import Matrix, minimal_polynomial, rref_rows
-from .operators import FiniteVector, Operator
+from .operators import FiniteVector, Operator, largest_invariant_subspace
 
 INFINITE = "infinite"
 
@@ -567,26 +568,20 @@ class SearchResult:
         return f"NoneWithin({self.truncation})"
 
 
-def _eigen_split(field, basis, images_of_basis, width):
+def _eigen_split(field, basis, images_of_basis):
     """Split span(basis) into eigenspace candidates of the map sending the
-    basis rows to the given images (all vectors of length ``width``).
+    basis rows to the given images (all vectors of the basis row length).
     Returns (lam, rows) pairs.  The map must preserve the span."""
     k = len(basis)
     Bt = Matrix(field, basis).transpose()
     X = Bt.solve_matrix(Matrix.from_cols(field, images_of_basis))
-    assert X is not None
+    if X is None:
+        raise InvariantViolated("eigen-split images leave the span of the basis")
     mu = minimal_polynomial(X)
     out = []
     for lam in poly_roots_in_field(mu):
         shifted = X - Matrix.identity(field, k).scale(lam)
-        vecs = []
-        for combo in shifted.kernel_basis():
-            vec = [field.zero] * width
-            for i, c in enumerate(combo):
-                if c != field.zero:
-                    for j in range(width):
-                        vec[j] = field.add(vec[j], field.mul(c, basis[i][j]))
-            vecs.append(vec)
+        vecs = [Bt.matvec(combo) for combo in shifted.kernel_basis()]
         rows, piv = rref_rows(vecs, field) if vecs else ([], [])
         rows = [list(r) for r in rows[: len(piv)]]
         if rows:
@@ -612,18 +607,18 @@ def common_eigenvector_search(ops, truncation):
     M = truncation
     spaces = [[list(r) for r in Matrix.identity(field, M).rows]]
     for T in ops:
-        reach = M + max(0, T.max_offset())
         new_spaces = []
         for basis in spaces:
-            basis = _largest_window_invariant(T, basis, M, reach)
+            basis = largest_invariant_subspace(T, basis, M)
             if not basis:
                 continue
             images = []
             for row in basis:
                 img = T.apply(FiniteVector(field, dict(enumerate(row))))
-                assert img.max_index() < M
+                if img.max_index() >= M:
+                    raise InvariantViolated("invariant subspace image leaves the window")
                 images.append(img.to_list(M))
-            for _lam, rows in _eigen_split(field, basis, images, M):
+            for _lam, rows in _eigen_split(field, basis, images):
                 new_spaces.append(rows)
         spaces = new_spaces
         if not spaces:
@@ -636,40 +631,6 @@ def common_eigenvector_search(ops, truncation):
                 return SearchResult(True, vector=v, eigenvalues=lams,
                                     truncation=truncation)
     return SearchResult(False, truncation=truncation)
-
-
-def _largest_window_invariant(T, basis, M, reach):
-    """Largest subspace of span(basis) whose full-operator image stays in
-    the window and inside itself."""
-    field = T.field
-    while basis:
-        padded = [row + [field.zero] * (reach - M) for row in basis]
-        span_rows, span_piv = rref_rows(padded, field)
-        span_rows = span_rows[: len(span_piv)]
-        residues = []
-        for row in basis:
-            img = T.apply(FiniteVector(field, dict(enumerate(row)))).to_list(reach)
-            for erow, p in zip(span_rows, span_piv):
-                c = img[p]
-                if c != field.zero:
-                    for j in range(reach):
-                        if erow[j] != field.zero:
-                            img[j] = field.sub(img[j], field.mul(c, erow[j]))
-            residues.append(img)
-        combos = Matrix.from_cols(field, residues).kernel_basis()
-        if len(combos) == len(basis):
-            return basis
-        new_basis = []
-        for combo in combos:
-            vec = [field.zero] * M
-            for i, c in enumerate(combo):
-                if c != field.zero:
-                    for j in range(M):
-                        vec[j] = field.add(vec[j], field.mul(c, basis[i][j]))
-            new_basis.append(vec)
-        rows, piv = rref_rows(new_basis, field) if new_basis else ([], [])
-        basis = [list(r) for r in rows[: len(piv)]]
-    return []
 
 
 def _verify_common_eigenvector(ops, v):

@@ -1,29 +1,55 @@
-"""Backend selection for the mod-p dense kernels.
+"""Dense matrix kernels mod p.
 
-The compiled extension is preferred when it imports; the pure-Python module
-is the fallback.  Set DIAGALG_PURE=1 to force the fallback (used by the
-benchmark and by tests that compare the two implementations).
+Matrices are flat row-major lists of ints already reduced mod p.  Python
+ints are unbounded, so every prime modulus is exact.
 """
 
-import os
 
-if os.environ.get("DIAGALG_PURE") == "1":
-    from . import _modp_py as _impl
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _modp as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        from . import _modp_py as _impl
-
-        BACKEND = "python"
-
-mat_mul_mod = _impl.mat_mul_mod
-mat_rref_mod = _impl.mat_rref_mod
+def mat_mul_mod(a, b, n, m, k, p):
+    """(n x m) times (m x k) mod p."""
+    out = [0] * (n * k)
+    for i in range(n):
+        arow = a[i * m:(i + 1) * m]
+        orow = i * k
+        for t in range(m):
+            c = arow[t]
+            if c == 0:
+                continue
+            brow = t * k
+            for j in range(k):
+                out[orow + j] = (out[orow + j] + c * b[brow + j]) % p
+    return out
 
 
-def backend_name():
-    return BACKEND
+def mat_rref_mod(a, nrows, ncols, p):
+    """Reduced row echelon form mod p.  Returns (flat matrix, pivot columns)."""
+    m = list(a)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = -1
+        for i in range(r, nrows):
+            if m[i * ncols + c] % p != 0:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            for j in range(ncols):
+                m[r * ncols + j], m[pr * ncols + j] = m[pr * ncols + j], m[r * ncols + j]
+        inv = pow(m[r * ncols + c], -1, p)
+        for j in range(c, ncols):
+            m[r * ncols + j] = (m[r * ncols + j] * inv) % p
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = m[i * ncols + c] % p
+            if f == 0:
+                continue
+            for j in range(c, ncols):
+                m[i * ncols + j] = (m[i * ncols + j] - f * m[r * ncols + j]) % p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots

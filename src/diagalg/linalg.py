@@ -2,8 +2,10 @@
 
 Matrices are immutable (tuples of tuples of scalars); subspaces are stored
 as reduced-row-echelon bases, which makes subspace equality a tuple
-comparison.  Mod-p row reduction and multiplication go through the kernel
-backend (compiled when available); rational arithmetic stays on Fraction.
+comparison.  Mod-p row reduction and multiplication go through the flat
+int kernels in ``kernels``; rational arithmetic stays on Fraction.  Sparse
+incremental reduction (Krylov chains, basis completion) goes through one
+``Echelon`` type.
 
 The diagonalization entry points implement the standard criteria: an
 operator on a finite-dimensional space is diagonalizable iff its minimal
@@ -13,7 +15,7 @@ eigenspace refinement.
 """
 
 from . import kernels
-from .errors import NotInvertible, NotSquare, SizeMismatch
+from .errors import InvariantViolated, NotInvertible, NotSquare, SizeMismatch
 from .fields import Polynomial, check_same_field, poly_splits_simply
 
 
@@ -223,12 +225,14 @@ class Matrix:
         F = self.field
         if len(v) != self.ncols:
             raise SizeMismatch("matvec length mismatch")
-        out = []
         zero = F.zero
+        support = [(j, x) for j, x in enumerate(v) if x != zero]
+        out = []
         for row in self.rows:
             acc = zero
-            for a, x in zip(row, v):
-                if a != zero and x != zero:
+            for j, x in support:
+                a = row[j]
+                if a != zero:
                     acc = F.add(acc, F.mul(a, x))
             out.append(acc)
         return out
@@ -383,12 +387,13 @@ class Subspace:
     """Subspace of K^n stored as an RREF row basis; equality of subspaces is
     equality of the canonical bases."""
 
-    __slots__ = ("field", "ambient", "rows")
+    __slots__ = ("field", "ambient", "rows", "_pivots")
 
     def __init__(self, field, ambient, rref_rows_):
         self.field = field
         self.ambient = ambient
         self.rows = tuple(tuple(r) for r in rref_rows_)
+        self._pivots = None
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
@@ -419,19 +424,34 @@ class Subspace:
     def basis_matrix(self):
         return Matrix(self.field, self.rows) if self.rows else Matrix(self.field, [])
 
+    def pivots(self):
+        """The pivot column of each basis row."""
+        if self._pivots is None:
+            zero = self.field.zero
+            self._pivots = [next(j for j, x in enumerate(row) if x != zero)
+                            for row in self.rows]
+        return self._pivots
+
+    def residue(self, vector):
+        """vector reduced against the RREF rows: zero at every pivot column,
+        and zero altogether exactly when the vector lies in the subspace."""
+        F = self.field
+        zero = F.zero
+        v = list(vector)
+        for row, pivot in zip(self.rows, self.pivots()):
+            c = v[pivot]
+            if c != zero:
+                for j in range(pivot, self.ambient):
+                    if row[j] != zero:
+                        v[j] = F.sub(v[j], F.mul(c, row[j]))
+        return v
+
     def contains(self, vector):
         F = self.field
         v = [F.scalar(x) for x in vector]
         if len(v) != self.ambient:
             raise SizeMismatch("vector length differs from ambient dimension")
-        for row in self.rows:
-            pivot = next(j for j, x in enumerate(row) if x != F.zero)
-            c = v[pivot]
-            if c != F.zero:
-                for j in range(self.ambient):
-                    if row[j] != F.zero:
-                        v[j] = F.sub(v[j], F.mul(c, row[j]))
-        return all(x == F.zero for x in v)
+        return all(x == F.zero for x in self.residue(v))
 
     def contains_subspace(self, other):
         return all(self.contains(r) for r in other.rows)
@@ -460,23 +480,67 @@ class Subspace:
         F = self.field
         if self.is_zero() or other.is_zero():
             return Subspace.zero_space(F, self.ambient)
-        a, b = len(self.rows), len(other.rows)
-        cols = [list(r) for r in self.rows] + [list(r) for r in other.rows]
-        N = Matrix.from_cols(F, cols)
-        combos = N.kernel_basis()
-        vecs = []
-        for combo in combos:
-            v = [F.zero] * self.ambient
-            for i in range(a):
-                c = combo[i]
-                if c != F.zero:
-                    for j in range(self.ambient):
-                        v[j] = F.add(v[j], F.mul(c, self.rows[i][j]))
-            vecs.append(v)
-        return Subspace.from_vectors(F, self.ambient, vecs)
+        combos = Matrix.from_cols(F, self.rows + other.rows).kernel_basis()
+        if not combos:
+            return Subspace.zero_space(F, self.ambient)
+        a = len(self.rows)
+        B = Matrix.from_cols(F, self.rows)
+        return Subspace.from_vectors(F, self.ambient, [B.matvec(c[:a]) for c in combos])
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of K^{self.ambient})"
+
+
+class Echelon:
+    """Incremental echelon basis of sparse vectors (maps index -> scalar),
+    each row keyed by its largest support index.  With track=True every row
+    also carries its coefficients over the vectors that entered the basis,
+    so that a dependent vector yields the linear relation it satisfies."""
+
+    __slots__ = ("field", "rows", "coeffs", "track")
+
+    def __init__(self, field, track=False):
+        self.field = field
+        self.rows = {}  # pivot -> reduced vector, nonzero entries only
+        self.coeffs = {}  # pivot -> coefficients over the added vectors
+        self.track = track
+
+    def __len__(self):
+        return len(self.rows)
+
+    def add(self, vec):
+        """Reduce vec against the rows.  A nonzero residue becomes a new row
+        and the result is None.  A vec already in the span returns its
+        relation instead: c_0 v_0 + ... + c_{k-1} v_{k-1} + vec = 0 over the
+        vectors v_i that entered the basis, in order, as the list
+        [c_0, ..., c_{k-1}, 1] (an empty list unless tracking)."""
+        F = self.field
+        zero = F.zero
+        rows = self.rows
+        w = {i: x for i, x in vec.items() if x != zero}
+        rep = None
+        if self.track:
+            rep = [zero] * len(rows) + [F.one]
+        while w:
+            piv = max(w)
+            row = rows.get(piv)
+            if row is None:
+                rows[piv] = w
+                if rep is not None:
+                    self.coeffs[piv] = rep
+                return None
+            f = F.div(w[piv], row[piv])
+            for j, c in row.items():
+                val = F.sub(w.get(j, zero), F.mul(f, c))
+                if val == zero:
+                    w.pop(j, None)
+                else:
+                    w[j] = val
+            if rep is not None:
+                for j, c in enumerate(self.coeffs[piv]):
+                    if c != zero:
+                        rep[j] = F.sub(rep[j], F.mul(f, c))
+        return rep if rep is not None else []
 
 
 # ---------------------------------------------------------------------------
@@ -487,31 +551,13 @@ def _local_annihilator(T, start):
     """Monic minimal polynomial of the Krylov chain v, Tv, T^2 v, ... for the
     standard basis vector e_start."""
     F = T.field
-    n = T.nrows
-    v = [F.zero] * n
+    v = [F.zero] * T.nrows
     v[start] = F.one
-    echelon = {}  # pivot index -> (vector, representation over iterates)
-    rep_len = 0
+    echelon = Echelon(F, track=True)
     while True:
-        w = list(v)
-        rep = [F.zero] * (rep_len + 1)
-        rep[rep_len] = F.one
-        for piv in sorted(echelon):
-            if w[piv] == F.zero:
-                continue
-            evec, erep = echelon[piv]
-            f = F.div(w[piv], evec[piv])
-            for j in range(n):
-                if evec[j] != F.zero:
-                    w[j] = F.sub(w[j], F.mul(f, evec[j]))
-            for j, c in enumerate(erep):
-                if c != F.zero:
-                    rep[j] = F.sub(rep[j], F.mul(f, c))
-        pivot = next((j for j, x in enumerate(w) if x != F.zero), None)
-        if pivot is None:
-            return Polynomial(F, rep)
-        echelon[pivot] = (w, rep)
-        rep_len += 1
+        relation = echelon.add(dict(enumerate(v)))
+        if relation is not None:
+            return Polynomial(F, relation)
         v = T.matvec(v)
 
 
@@ -586,7 +632,8 @@ def diagonalize_finite(T):
             diag_values.append(lam)
     P = Matrix.from_cols(F, cols)
     D = Matrix.diagonal(F, diag_values)
-    assert len(cols) == n and (T * P) == (P * D)
+    if len(cols) != n or (T * P) != (P * D):
+        raise InvariantViolated("eigenvector certificate T P = P D failed")
     return DiagFiniteResult(True, P, D, mu, rep.roots)
 
 
@@ -619,6 +666,7 @@ def commutant(gens):
 
 
 def matrix_from_vec(field, flat, n):
+    """The n x n matrix whose row-major vectorization is flat."""
     return Matrix(field, [flat[i * n:(i + 1) * n] for i in range(n)])
 
 
@@ -627,11 +675,13 @@ def matrix_to_vec(M):
 
 
 class SimDiagResult:
-    __slots__ = ("ok", "p", "reason", "witness")
+    __slots__ = ("ok", "p", "p_inv", "blocks", "reason", "witness")
 
-    def __init__(self, ok, p=None, reason=None, witness=None):
+    def __init__(self, ok, p=None, p_inv=None, blocks=None, reason=None, witness=None):
         self.ok = ok
         self.p = p
+        self.p_inv = p_inv
+        self.blocks = blocks
         self.reason = reason
         self.witness = witness
 
@@ -651,9 +701,12 @@ def _refine_blocks(Ts):
         for sig, cols in blocks:
             B = Matrix.from_cols(F, cols)
             X = B.solve_matrix(T * B)
-            assert X is not None, "refinement block not invariant"
+            if X is None:
+                raise InvariantViolated("refinement block not invariant")
             sub = diagonalize_finite(X)
-            assert sub.ok, "restriction of a diagonalizable operator must stay diagonalizable"
+            if not sub.ok:
+                raise InvariantViolated(
+                    "restriction of a diagonalizable operator must stay diagonalizable")
             by_val = {}
             for idx in range(len(cols)):
                 lam = sub.d.rows[idx][idx]
@@ -687,12 +740,12 @@ def simultaneous_diagonalize_finite(Ts):
         if not poly_splits_simply(mu).splits:
             return SimDiagResult(False, reason="notdiagonalizable", witness=(i, mu))
     blocks = _refine_blocks(Ts)
-    cols = [c for _, block in blocks for c in block]
-    P = Matrix.from_cols(F, cols)
+    P = Matrix.from_cols(F, [c for _, block in blocks for c in block])
     Pinv = P.inverse()
     for T in Ts:
-        assert (Pinv * T * P).is_diagonal()
-    return SimDiagResult(True, p=P)
+        if not (Pinv * T * P).is_diagonal():
+            raise InvariantViolated("joint eigenbasis does not diagonalize the family")
+    return SimDiagResult(True, p=P, p_inv=Pinv, blocks=blocks)
 
 
 def joint_eigenprojections(Ts):
@@ -703,12 +756,10 @@ def joint_eigenprojections(Ts):
         raise SizeMismatch(f"family not simultaneously diagonalizable: {result.reason}")
     F = Ts[0].field
     n = Ts[0].nrows
-    blocks = _refine_blocks(Ts)
-    P = Matrix.from_cols(F, [c for _, block in blocks for c in block])
-    Pinv = P.inverse()
+    P, Pinv = result.p, result.p_inv
     out = []
     offset = 0
-    for sig, block in blocks:
+    for sig, block in result.blocks:
         ind = Matrix.zeros(F, n)
         ind_rows = [list(r) for r in ind.rows]
         for t in range(offset, offset + len(block)):

@@ -19,12 +19,13 @@ the closure of the set of diagonalizable operators.
 from .errors import (
     DuplicateLambda,
     FieldTooSmall,
+    InvariantViolated,
     NegativeIndexLeak,
     NotEventuallyDiagonal,
     WrongField,
 )
 from .fields import EPSeq, Polynomial, check_same_field, poly_splits_simply
-from .linalg import Matrix, diagonalize_finite, rref_rows
+from .linalg import Echelon, Matrix, Subspace, diagonalize_finite, rref_rows
 
 
 class FiniteVector:
@@ -310,30 +311,6 @@ class Operator:
         return "\n".join(parts)
 
 
-def apply(T, v):
-    return T.apply(v)
-
-
-def op_ring(a, b, op):
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def commutes(a, b):
-    return a.commutes_with(b)
-
-
-def is_idempotent(a):
-    return a.is_idempotent()
-
-
-def truncate(T, n):
-    return T.truncate(n)
-
-
 def finite_field_diag_check(T):
     """Exact decision over F_p: diagonalizable iff T^p = T; total for the
     whole representation class."""
@@ -407,33 +384,16 @@ def krylov_torsion(T, v, depth=64):
         raise ValueError("depth must be >= 1")
     F = check_same_field(T.field, v.field)
     cert = growth_certificate_data(T)
-    echelon = {}  # pivot (max support index) -> (vector, rep over iterates)
+    echelon = Echelon(F, track=True)
     seen_max = -1
     current = v
     for k in range(depth + 1):
-        w = dict(current.entries)
-        rep = [F.zero] * (k + 1)
-        rep[k] = F.one
-        while w:
-            piv = max(w)
-            if piv not in echelon:
-                break
-            evec, erep = echelon[piv]
-            f = F.div(w[piv], evec.entries[piv])
-            for j, c in evec.entries.items():
-                val = F.sub(w.get(j, F.zero), F.mul(f, c))
-                if val == F.zero:
-                    w.pop(j, None)
-                else:
-                    w[j] = val
-            for j, c in enumerate(erep):
-                if c != F.zero:
-                    rep[j] = F.sub(rep[j], F.mul(f, c))
-        if not w:
-            poly = Polynomial(F, rep)
-            assert annihilator_applies(T, v, poly)
+        relation = echelon.add(current.entries)
+        if relation is not None:
+            poly = Polynomial(F, relation)
+            if not annihilator_applies(T, v, poly):
+                raise InvariantViolated(f"Krylov relation {poly} does not annihilate {v}")
             return TorsionReport("torsion", annihilator=poly.monic(), depth_used=k)
-        echelon[max(w)] = (FiniteVector(F, w), rep)
         m = current.max_index()
         if cert is not None and m >= cert[1] and m > seen_max:
             return TorsionReport(
@@ -466,26 +426,6 @@ class WindowTorsion:
         return "Unknown"
 
 
-def _echelon_insert(rows, vec, field):
-    """Sparse echelon on finite vectors keyed by max support index; returns
-    True when vec enlarges the span."""
-    w = dict(vec.entries)
-    while w:
-        piv = max(w)
-        if piv not in rows:
-            rows[piv] = FiniteVector(field, w)
-            return True
-        evec = rows[piv]
-        f = field.div(w[piv], evec.entries[piv])
-        for j, c in evec.entries.items():
-            val = field.sub(w.get(j, field.zero), field.mul(f, c))
-            if val == field.zero:
-                w.pop(j, None)
-            else:
-                w[j] = val
-    return False
-
-
 def torsion_part_on_window(T, window, depth=64):
     """Torsion vectors reachable from the window generators: runs the
     Krylov probe per generator, keeps the torsion ones with their full
@@ -507,15 +447,15 @@ def torsion_part_on_window(T, window, depth=64):
             return WindowTorsion("unknown", reports=reports)
         if rep.outcome == "torsion":
             torsion_gens.append((w, rep.annihilator))
-    rows = {}
+    echelon = Echelon(F)
     minpoly = Polynomial.one(F)
     for w, ann in torsion_gens:
         minpoly = minpoly.lcm(ann)
         chain = w
         for _ in range(ann.degree):
-            _echelon_insert(rows, chain, F)
+            echelon.add(chain.entries)
             chain = T.apply(chain)
-    basis = [rows[piv] for piv in sorted(rows)]
+    basis = [FiniteVector(F, echelon.rows[piv]) for piv in sorted(echelon.rows)]
     return WindowTorsion("basis", basis=basis, minpoly=minpoly, reports=reports)
 
 
@@ -539,43 +479,26 @@ class ClosureReport:
         return f"{self.outcome}{tail}: {self.detail}"
 
 
-def _exact_torsion_space(T, theta):
-    """When the growth certificate holds globally, every torsion vector
-    lives in span(v_0 .. v_{theta-1}); the torsion part is then exactly the
-    largest T-invariant subspace of that span, found by stabilizing
-    W <- {u in W : Tu in W}."""
+def largest_invariant_subspace(T, basis, window):
+    """Largest subspace of span(basis) (rows of length ``window``) whose
+    image under T stays inside the window and inside itself, found by
+    stabilizing W <- {u in W : Tu in W}.  Returns RREF rows, or the basis
+    itself when its span is already invariant."""
     F = T.field
-    if theta == 0:
-        return []
-    reach = theta + max(0, T.max_offset())
-    basis = [list(r) for r in Matrix.identity(F, theta).rows]
+    reach = window + max(0, T.max_offset())
+    pad = [F.zero] * (reach - window)
     while basis:
-        padded = [row + [F.zero] * (reach - theta) for row in basis]
-        span_rows, span_piv = rref_rows(padded, F)
-        span_rows = span_rows[: len(span_piv)]
-        residues = []
-        for row in basis:
-            v = FiniteVector(F, {i: x for i, x in enumerate(row)})
-            img = T.apply(v).to_list(reach)
-            for erow, p in zip(span_rows, span_piv):
-                c = img[p]
-                if c != F.zero:
-                    for j in range(reach):
-                        if erow[j] != F.zero:
-                            img[j] = F.sub(img[j], F.mul(c, erow[j]))
-            residues.append(img)
+        rows, piv = rref_rows([list(row) + pad for row in basis], F)
+        span = Subspace(F, reach, rows[: len(piv)])
+        residues = [
+            span.residue(T.apply(FiniteVector(F, dict(enumerate(row)))).to_list(reach))
+            for row in basis
+        ]
         combos = Matrix.from_cols(F, residues).kernel_basis()
         if len(combos) == len(basis):
             return basis
-        new_basis = []
-        for combo in combos:
-            vec = [F.zero] * theta
-            for i, c in enumerate(combo):
-                if c != F.zero:
-                    for j in range(theta):
-                        vec[j] = F.add(vec[j], F.mul(c, basis[i][j]))
-            new_basis.append(vec)
-        rows, piv = rref_rows(new_basis, F) if new_basis else ([], [])
+        B = Matrix.from_cols(F, basis)
+        rows, piv = rref_rows([B.matvec(c) for c in combos], F) if combos else ([], [])
         basis = [list(r) for r in rows[: len(piv)]]
     return []
 
@@ -604,8 +527,11 @@ def closure_membership(T, window, depth=64):
         raise ValueError("a nonempty window is required over Q")
     cert = growth_certificate_data(T)
     if cert is not None:
+        # every torsion vector lives in span(v_0 .. v_{theta-1}), so the
+        # torsion part is the largest invariant subspace of that span
         theta = cert[1]
-        basis = _exact_torsion_space(T, theta)
+        identity = [list(r) for r in Matrix.identity(F, theta).rows]
+        basis = largest_invariant_subspace(T, identity, theta)
         if not basis:
             return ClosureReport(
                 "in_closure", semi_decided=False,
@@ -615,11 +541,13 @@ def closure_membership(T, window, depth=64):
         for row in basis:
             v = FiniteVector(F, {i: x for i, x in enumerate(row)})
             img = T.apply(v)
-            assert img.max_index() < theta, "torsion space not invariant"
+            if img.max_index() >= theta:
+                raise InvariantViolated("torsion space not invariant")
             imgs.append(img.to_list(theta))
         Bt = Matrix(F, basis).transpose()
         X = Bt.solve_matrix(Matrix.from_cols(F, imgs))
-        assert X is not None
+        if X is None:
+            raise InvariantViolated("torsion space images leave its span")
         res = diagonalize_finite(X)
         if res.ok:
             return ClosureReport(

@@ -24,36 +24,23 @@ testing while staying reproducible.
 import random
 from fractions import Fraction
 
-from .errors import FiniteFieldUnsupported, TruncationTooSmall, VerifyFailed
+from .errors import (
+    FiniteFieldUnsupported,
+    InvariantViolated,
+    TruncationTooSmall,
+    VerifyFailed,
+)
 from .fields import QQ
-from .linalg import Matrix, Subspace, rref_rows
+# rref_rows is unused here but stays bound: perfbench/layers.py traces it
+# at every module that imports it
+from .linalg import Echelon, Matrix, Subspace, rref_rows  # noqa: F401
 from .operators import FiniteVector, Operator
 
 
-def _reduce_against(field, echelon, vec):
-    """Reduce vec against echelon rows (list of (pivot, row)); returns the
-    reduced vector."""
-    v = list(vec)
-    for piv, row in echelon:
-        c = v[piv]
-        if c != field.zero:
-            for j in range(len(v)):
-                if row[j] != field.zero:
-                    v[j] = field.sub(v[j], field.mul(c, row[j]))
-    return v
-
-
-def _echelon_add(field, echelon, vec):
-    """Insert vec into the echelon if independent; True when added."""
-    v = _reduce_against(field, echelon, vec)
-    piv = next((j for j, x in enumerate(v) if x != field.zero), None)
-    if piv is None:
-        return False
-    inv = field.inv(v[piv])
-    row = [field.mul(inv, x) for x in v]
-    echelon.append((piv, row))
-    echelon.sort()
-    return True
+def _extends(echelon, vec):
+    """Add the dense vector vec to the echelon; True when it is independent
+    of the rows already there."""
+    return echelon.add(dict(enumerate(vec))) is None
 
 
 class TreeDecomposition:
@@ -76,24 +63,18 @@ class TreeDecomposition:
         concatenated leaf bases."""
         F = self.field
         leaves = self.strings(self.depth)
-        cols = []
-        owners = []
-        for leaf in leaves:
-            for row in self.nodes[leaf].rows:
-                cols.append(list(row))
-                owners.append(leaf)
-        B = Matrix.from_cols(F, cols)
-        coords = B.solve(list(self.w))
+        cols = [row for leaf in leaves for row in self.nodes[leaf].rows]
+        coords = Matrix.from_cols(F, cols).solve(list(self.w))
         if coords is None:
             raise VerifyFailed("witness vector does not decompose over the leaves")
         comps = {}
+        offset = 0
         for leaf in leaves:
-            comps[leaf] = [F.zero] * self.window
-        for c, col, owner in zip(coords, cols, owners):
-            if c != F.zero:
-                vec = comps[owner]
-                for j in range(self.window):
-                    vec[j] = F.add(vec[j], F.mul(c, col[j]))
+            rows = self.nodes[leaf].rows
+            part = coords[offset:offset + len(rows)]
+            offset += len(rows)
+            comps[leaf] = (Matrix.from_cols(F, rows).matvec(part) if rows
+                           else [F.zero] * self.window)
         return comps
 
 
@@ -170,12 +151,12 @@ def _split_case_one(F, M, V, wi, pool):
 def _split_case_two(F, M, V, wi, g, pool):
     # S = span(g) with g, wi independent: pick a, b with {g, wi, a, b}
     # independent, put g - a and wi - b on one side, a and b on the other
-    echelon = []
+    echelon = Echelon(F)
     for vec in (g, wi):
-        _echelon_add(F, echelon, vec)
+        _extends(echelon, vec)
     picks = []
     for row in pool:
-        if _echelon_add(F, echelon, row):
+        if _extends(echelon, row):
             picks.append(row)
             if len(picks) == 2:
                 break
@@ -191,15 +172,15 @@ def _split_case_two(F, M, V, wi, g, pool):
 
 
 def _complete(F, seed_vecs, pool, target_dim):
-    echelon = []
+    echelon = Echelon(F)
     for vec in seed_vecs:
-        if not _echelon_add(F, echelon, vec):
+        if not _extends(echelon, vec):
             raise VerifyFailed("splitting seed vectors are dependent")
     ext = []
     for row in pool:
         if len(echelon) == target_dim:
             break
-        if _echelon_add(F, echelon, row):
+        if _extends(echelon, row):
             ext.append(row)
     if len(echelon) != target_dim:
         raise VerifyFailed("could not complete a node basis")
@@ -387,7 +368,8 @@ def no_common_eigenvector(d, through_level):
             v = list(S.rows[0])
             for E in projections:
                 img = E.matvec(v)
-                assert img == [F.zero] * M or img == v, "refinement produced a non-eigenvector"
+                if img != [F.zero] * M and img != v:
+                    raise InvariantViolated("refinement produced a non-eigenvector")
             return EigenSearchReport(False, vector=FiniteVector(F, dict(enumerate(v))), level=m)
     return EigenSearchReport(True, level=m)
 
@@ -428,15 +410,16 @@ def discreteness_witness(d):
     rank = L.rank()
     injective = rank == len(leaves)
     # idempotent killing w: basis {w, completion}, projection along w
-    echelon = []
-    if not _echelon_add(F, echelon, list(d.w)):
+    echelon = Echelon(F)
+    if not _extends(echelon, d.w):
         raise VerifyFailed("witness vector is zero")
     basis = [list(d.w)]
     for k in range(M):
-        if _echelon_add(F, echelon, _unit(F, M, k)):
+        if _extends(echelon, _unit(F, M, k)):
             basis.append(_unit(F, M, k))
     B = Matrix.from_cols(F, basis)
     diag = Matrix.diagonal(F, [F.zero] + [F.one] * (M - 1))
     E = B * diag * B.inverse()
-    assert E * E == E and E.matvec(list(d.w)) == [F.zero] * M
+    if E * E != E or E.matvec(list(d.w)) != [F.zero] * M:
+        raise InvariantViolated("the annihilator idempotent fails E^2 = E or E w = 0")
     return DiscretenessReport(injective, rank, len(leaves), E)

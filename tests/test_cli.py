@@ -157,6 +157,11 @@ class TestCliCommands:
         code, rep = run_cli(capsys, "spec0", "--field", "F3", "--text", "3")
         assert code == 0 and len(rep["ideals"]) == 3
 
+    def test_spec0_many_points(self, capsys):
+        code, rep = run_cli(capsys, "spec0", "--field", "Q", "--text", "400")
+        assert code == 0 and len(rep["ideals"]) == 400
+        assert all(m["basis_size"] == 399 for m in rep["ideals"])
+
     def test_duality_check(self, capsys):
         code, rep = run_cli(capsys, "duality-check", "--field", "F2",
                             "--text", "map 2->1 [0,0]")

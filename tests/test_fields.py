@@ -11,8 +11,6 @@ from diagalg.fields import (
     QQ,
     _certify_roots,
     _is_prime,
-    epseq_op,
-    epseq_shift,
     poly_roots_in_field,
     poly_splits_simply,
     poly_squarefree_part,
@@ -260,12 +258,12 @@ class TestEPSeq:
     def test_constant_add(self):
         a = EPSeq.constant(QQ, 1)
         b = EPSeq.constant(QQ, 2)
-        assert epseq_op(a, b, "add") == EPSeq.constant(QQ, 3)
+        assert a + b == EPSeq.constant(QQ, 3)
 
     def test_eventually_zero_absorber(self):
         a = EPSeq(QQ, [5], [0])
         b = EPSeq(QQ, [], [2, 3])
-        out = epseq_op(a, b, "mul")
+        out = a * b
         assert out == EPSeq(QQ, [10], [0])
 
     def test_interleaved_add_renormalizes(self):
@@ -303,9 +301,9 @@ class TestEPSeq:
 
     def test_shift_semantics(self):
         s = EPSeq(QQ, [1, 2], [3, 4])
-        shifted = epseq_shift(s, 3)
+        shifted = s.shift(3)
         assert [shifted.at(i) for i in range(5)] == [s.at(i + 3) for i in range(5)]
-        padded = epseq_shift(s, -2)
+        padded = s.shift(-2)
         assert [padded.at(i) for i in range(6)] == [0, 0, 1, 2, 3, 4]
 
     def test_period_divides_lcm(self):

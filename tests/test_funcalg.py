@@ -58,6 +58,11 @@ class TestSpec0:
         ideals = spec0(FunctionAlgebra(GF(2), 1))
         assert len(ideals) == 1 and ideals[0].basis == []
 
+    def test_basis_size_without_materializing(self):
+        ideals = spec0(FunctionAlgebra(QQ, 4))
+        assert [m.basis_size for m in ideals] == [len(m.basis) for m in ideals] == [3] * 4
+        assert ideals[1].basis == [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
 
 class TestDuality:
     def test_identity_map(self):
@@ -95,6 +100,15 @@ class TestDuality:
             AlgebraHom(QQ, 2, 2, Matrix(QQ, [[1, 1], [0, 1]]))
         with pytest.raises(NotAlgebraHom):
             AlgebraHom(QQ, 2, 2, Matrix(QQ, [[2, -1], [0, 1]]))
+
+    def test_row_sum_one_in_char_two_is_not_unital(self):
+        # 1 + 1 + 1 = 1 over F_2, but the three point masses overlap
+        with pytest.raises(NotAlgebraHom, match="overlap"):
+            AlgebraHom(GF(2), 3, 1, Matrix(GF(2), [[1, 1, 1]]))
+        with pytest.raises(NotAlgebraHom, match="not unital"):
+            AlgebraHom(GF(2), 3, 1, Matrix(GF(2), [[0, 0, 0]]))
+        with pytest.raises(NotAlgebraHom, match="not idempotent"):
+            AlgebraHom(GF(3), 1, 1, Matrix(GF(3), [[2]]))
 
     def test_hom_of_empty_sets(self):
         phi = SetMap(0, 3, [])

@@ -6,6 +6,7 @@ import pytest
 from diagalg.errors import NotSquare, SizeMismatch
 from diagalg.fields import GF, Polynomial, QQ, poly_splits_simply
 from diagalg.linalg import (
+    Echelon,
     Matrix,
     Subspace,
     commutant,
@@ -311,3 +312,42 @@ class TestSubspace:
             A = rand_matrix(rng, QQ, n)
             assert diagonalize_finite(A).ok == sympy_rational_diagonalizable(
                 [list(r) for r in A.rows])
+
+
+class TestEchelon:
+    def test_rank_and_relations_match_oracle(self):
+        rng = random.Random(83)
+        for _ in range(60):
+            field, p = rng.choice([(QQ, None), (GF(7), 7), (GF(2), 2)])
+            n = rng.randint(1, 6)
+            vecs = [[rng.choice([0, 0, 1, 2, -1]) for _ in range(n)]
+                    for _ in range(rng.randint(1, 8))]
+            echelon = Echelon(field, track=True)
+            added = []
+            for v in vecs:
+                v = [field.scalar(x) for x in v]
+                relation = echelon.add(dict(enumerate(v)))
+                if relation is None:
+                    added.append(v)
+                    continue
+                # the relation holds over the added vectors, the new one last
+                assert len(relation) == len(added) + 1 and relation[-1] == field.one
+                for j in range(n):
+                    acc = field.zero
+                    for c, u in zip(relation, added + [v]):
+                        acc = field.add(acc, field.mul(c, u[j]))
+                    assert acc == field.zero
+            assert len(echelon) == len(added) == plain_rank(vecs, p)
+
+    def test_untracked_reports_dependence_only(self):
+        echelon = Echelon(QQ)
+        assert echelon.add({0: 1, 2: 3}) is None
+        assert echelon.add({1: 0}) == []  # the zero vector is always dependent
+        assert echelon.add({0: 2, 2: 6}) == []
+        assert echelon.add({0: 1}) is None and len(echelon) == 2
+
+    def test_subspace_residue(self):
+        S = Subspace.from_vectors(QQ, 3, [[1, 2, 0], [0, 0, 1]])
+        assert S.residue([1, 2, 5]) == [0, 0, 0]
+        assert S.residue([0, 1, 0]) == [0, 1, 0]
+        assert not S.contains([0, 1, 0]) and S.contains([2, 4, -1])

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from diagalg import operators
 from diagalg.errors import (
     DuplicateLambda,
     FieldTooSmall,
+    InvariantViolated,
     NotEventuallyDiagonal,
     WrongField,
 )
@@ -258,6 +260,13 @@ class TestTorsion:
             Operator(QQ, {2: EPSeq(QQ, [], [1, 0])}), FiniteVector.basis(QQ, 0),
             depth=2)
         assert shallow.outcome == "unknown"
+
+    def test_failed_annihilator_check_raises(self, monkeypatch):
+        # the certificate check must run even under python -O
+        monkeypatch.setattr(operators, "annihilator_applies", lambda T, v, poly: False)
+        D = Operator.diagonal(QQ, EPSeq.constant(QQ, 3))
+        with pytest.raises(InvariantViolated):
+            krylov_torsion(D, FiniteVector.basis(QQ, 0))
 
 
 class TestTorsionWindow:

@@ -112,7 +112,13 @@ class Rationals:
         return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator)
 
     def parse_scalar(self, text):
-        return Fraction(text.strip())
+        text = text.strip()
+        digits = text[1:] if text[:1] in "+-" else text
+        if digits.isascii() and digits.isdigit():
+            # an ASCII integer literal: Fraction(text) would give the same
+            # value through a regular-expression match
+            return Fraction(int(text))
+        return Fraction(text)
 
     def __repr__(self):
         return "Q"

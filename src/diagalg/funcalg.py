@@ -22,6 +22,7 @@ double-commutant report.
 
 from .errors import (
     DoesNotSplitSimply,
+    InvariantViolated,
     NotAlgebraHom,
     NotAssociative,
     NotSquare,
@@ -204,9 +205,10 @@ class AlgebraHom:
 def dual_map(phi, field):
     """The precomposition algebra map K^Y -> K^X of a set map phi: X -> Y."""
     F = field
-    rows = [[F.one if phi(x) == y else F.zero for y in range(phi.codomain)]
+    one, zero = F.one, F.zero
+    rows = [[one if phi(x) == y else zero for y in range(phi.codomain)]
             for x in range(phi.domain)]
-    return AlgebraHom(F, phi.codomain, phi.domain, Matrix(F, rows))
+    return AlgebraHom(F, phi.codomain, phi.domain, Matrix._of(F, rows))
 
 
 def spec_of_hom(h):
@@ -337,12 +339,16 @@ def crt_split(f):
         idems.append(e)
     total = Polynomial.zero(F)
     for i, e in enumerate(idems):
-        assert (e * e) % f == e
-        assert (x * e) % f == (e * roots[i]) % f
+        if (e * e) % f != e:
+            raise InvariantViolated(f"CRT idempotent {i} fails e^2 = e")
+        if (x * e) % f != (e * roots[i]) % f:
+            raise InvariantViolated(f"CRT idempotent {i} fails x e = r e")
         for j in range(i + 1, len(idems)):
-            assert (e * idems[j]) % f == Polynomial.zero(F)
+            if (e * idems[j]) % f != Polynomial.zero(F):
+                raise InvariantViolated(f"CRT idempotents {i} and {j} are not orthogonal")
         total = total + e
-    assert (total % f) == Polynomial.one(F) % f
+    if (total % f) != Polynomial.one(F) % f:
+        raise InvariantViolated("CRT idempotents do not sum to 1")
     return CrtSplit(f, roots, idems)
 
 
@@ -657,8 +663,8 @@ def regular_representation(A):
         e = A.basis_element(i)
         lam = A.lambda_matrix(e)
         rho = A.rho_matrix(e)
-        assert tuple(lam.matvec(list(A.unit))) == e
-        assert tuple(rho.matvec(list(A.unit))) == e
+        if tuple(lam.matvec(list(A.unit))) != e or tuple(rho.matvec(list(A.unit))) != e:
+            raise InvariantViolated(f"regular representation of e_{i} misses e_{i} on the unit")
         lambdas.append(lam)
         rhos.append(rho)
     return RegularRepresentation(A, lambdas, rhos)

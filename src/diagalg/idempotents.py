@@ -369,13 +369,15 @@ def summability(family):
         total = Operator.zero(F)
         for op in family.members():
             total = total + op
-        assert total == Operator.identity(F)
+        if total != Operator.identity(F):
+            raise InvariantViolated("partition family does not sum to the identity")
         return SummabilityReport(True, total)
     if family.kind == "explicit":
         total = Operator.zero(F)
         for op in family.ops:
             total = total + op
-        assert total.is_idempotent()
+        if not total.is_idempotent():
+            raise InvariantViolated("explicit family sum is not idempotent")
         return SummabilityReport(True, total)
     # pattern family
     for (_, _, ac, bc) in family.terms:
@@ -392,7 +394,8 @@ def summability(family):
         seq = EPSeq(F, [0] * start, [1] + [0] * (ac - 1))
         bands[d] = bands[d] + seq if d in bands else seq
     total = Operator(F, bands)
-    assert total.is_idempotent()
+    if not total.is_idempotent():
+        raise InvariantViolated("pattern family sum is not idempotent")
     return SummabilityReport(True, total)
 
 
@@ -443,7 +446,8 @@ def lub_check(family, f, probe=24):
     sr = (f * e) == e
     sb = sl and sr
     report = LubReport(pl, pr, pb, sl, sr, sb)
-    assert report.consistent, "least-upper-bound law failed on this instance"
+    if not report.consistent:
+        raise InvariantViolated("least-upper-bound law failed on this instance")
     return report
 
 
@@ -500,8 +504,10 @@ def product_family(E, F_fam):
                     prods.append(p)
         out = ExplicitFamily(field, prods)
     rep_out = summability(out)
-    assert rep_out.summable
-    assert rep_out.sum == rep_e.sum * rep_f.sum
+    if not rep_out.summable:
+        raise InvariantViolated("product family is not summable")
+    if rep_out.sum != rep_e.sum * rep_f.sum:
+        raise InvariantViolated("product family sum differs from the product of the sums")
     return out
 
 
@@ -540,13 +546,16 @@ def simultaneous_diagonalize_families(E, F_fam):
         total = Operator.zero(E.field)
         for fb in F_fam.members():
             total = total + ea * fb
-        assert total == ea, "row marginal failed"
+        if total != ea:
+            raise InvariantViolated("row marginal failed")
     for fb in F_fam.members():
         total = Operator.zero(E.field)
         for ea in E.members():
             total = total + ea * fb
-        assert total == fb, "column marginal failed"
-    assert summability(refined).sum == e_sum * f_sum == Operator.identity(E.field)
+        if total != fb:
+            raise InvariantViolated("column marginal failed")
+    if not summability(refined).sum == e_sum * f_sum == Operator.identity(E.field):
+        raise InvariantViolated("refined family does not sum to the identity")
     return SimDiagFamilies(True, refined=refined)
 
 

@@ -31,11 +31,10 @@ def _rref_generic(rows, field, pivot_limit=None):
     limit = ncols if pivot_limit is None else pivot_limit
     pivots = []
     r = 0
-    zero = field.zero
     for c in range(limit):
         pr = -1
         for i in range(r, nrows):
-            if m[i][c] != zero:
+            if m[i][c]:
                 pr = i
                 break
         if pr < 0:
@@ -50,11 +49,11 @@ def _rref_generic(rows, field, pivot_limit=None):
             if i == r:
                 continue
             f = m[i][c]
-            if f == zero:
+            if not f:
                 continue
             mi = m[i]
             for j in range(c, ncols):
-                if row_r[j] != zero:
+                if row_r[j]:
                     mi[j] = field.sub(mi[j], field.mul(f, row_r[j]))
         pivots.append(c)
         r += 1
@@ -89,29 +88,40 @@ class Matrix:
                 raise SizeMismatch("ragged rows")
 
     @classmethod
+    def _of(cls, field, rows):
+        """Internal constructor for rows that are already field scalars of
+        one common length (results of the field's own operations): no
+        coercion and no shape check."""
+        M = object.__new__(cls)
+        M.field = field
+        M.rows = tuple(map(tuple, rows))
+        M.nrows = len(M.rows)
+        M.ncols = len(M.rows[0]) if M.rows else 0
+        return M
+
+    @classmethod
     def zeros(cls, field, nrows, ncols=None):
         ncols = nrows if ncols is None else ncols
         z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)])
+        return cls._of(field, [[z] * ncols for _ in range(nrows)])
 
     @classmethod
     def identity(cls, field, n):
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._of(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, field, values):
         values = [field.scalar(v) for v in values]
         n = len(values)
         z = field.zero
-        return cls(field, [[values[i] if i == j else z for j in range(n)] for i in range(n)])
+        return cls._of(field, [[values[i] if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_cols(cls, field, cols):
         if not cols:
-            return cls(field, [])
-        n = len(cols[0])
-        return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
+            return cls._of(field, [])
+        return cls._of(field, zip(*cols))
 
     @classmethod
     def companion(cls, poly):
@@ -127,7 +137,7 @@ class Matrix:
             rows[i][i - 1] = F.one
         for i in range(n):
             rows[i][n - 1] = F.neg(poly.coeffs[i])
-        return cls(F, rows)
+        return cls._of(F, rows)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -156,7 +166,7 @@ class Matrix:
         F = check_same_field(self.field, other.field)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise SizeMismatch("matrix addition shape mismatch")
-        return Matrix(F, [
+        return Matrix._of(F, [
             [F.add(a, b) for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.rows, other.rows)
         ])
@@ -165,19 +175,19 @@ class Matrix:
         F = check_same_field(self.field, other.field)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise SizeMismatch("matrix subtraction shape mismatch")
-        return Matrix(F, [
+        return Matrix._of(F, [
             [F.sub(a, b) for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.rows, other.rows)
         ])
 
     def __neg__(self):
         F = self.field
-        return Matrix(F, [[F.neg(a) for a in row] for row in self.rows])
+        return Matrix._of(F, [[F.neg(a) for a in row] for row in self.rows])
 
     def scale(self, c):
         F = self.field
         c = F.scalar(c)
-        return Matrix(F, [[F.mul(c, a) for a in row] for row in self.rows])
+        return Matrix._of(F, [[F.mul(c, a) for a in row] for row in self.rows])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -190,7 +200,7 @@ class Matrix:
             flat_a = [x for row in self.rows for x in row]
             flat_b = [x for row in other.rows for x in row]
             out = kernels.mat_mul_mod(flat_a, flat_b, n, m, k, F.char)
-            return Matrix(F, [out[i * k:(i + 1) * k] for i in range(n)])
+            return Matrix._of(F, [out[i * k:(i + 1) * k] for i in range(n)])
         zero = F.zero
         out = [[zero] * k for _ in range(n)]
         brows = other.rows
@@ -199,13 +209,13 @@ class Matrix:
             orow = out[i]
             for t in range(m):
                 c = arow[t]
-                if c == zero:
+                if not c:
                     continue
                 brow = brows[t]
                 for j in range(k):
-                    if brow[j] != zero:
+                    if brow[j]:
                         orow[j] = F.add(orow[j], F.mul(c, brow[j]))
-        return Matrix(F, out)
+        return Matrix._of(F, out)
 
     __rmul__ = scale
 
@@ -226,19 +236,19 @@ class Matrix:
         if len(v) != self.ncols:
             raise SizeMismatch("matvec length mismatch")
         zero = F.zero
-        support = [(j, x) for j, x in enumerate(v) if x != zero]
+        support = [(j, x) for j, x in enumerate(v) if x]
         out = []
         for row in self.rows:
             acc = zero
             for j, x in support:
                 a = row[j]
-                if a != zero:
+                if a:
                     acc = F.add(acc, F.mul(a, x))
             out.append(acc)
         return out
 
     def transpose(self):
-        return Matrix(self.field, [self.col(i) for i in range(self.ncols)])
+        return Matrix._of(self.field, zip(*self.rows))
 
     def trace(self):
         if not self.is_square():
@@ -263,7 +273,7 @@ class Matrix:
 
     def rref(self):
         rows, pivots = rref_rows(self.rows, self.field)
-        return (Matrix(self.field, rows) if rows else self), pivots
+        return (Matrix._of(self.field, rows) if rows else self), pivots
 
     def rank(self):
         if self.nrows == 0 or self.ncols == 0:
@@ -322,7 +332,7 @@ class Matrix:
         out = [[F.zero] * B.ncols for _ in range(self.ncols)]
         for r, c in enumerate(pivots):
             out[c] = rows[r][self.ncols:]
-        return Matrix(F, out)
+        return Matrix._of(F, out)
 
     def inverse(self):
         if not self.is_square():
@@ -422,7 +432,7 @@ class Subspace:
         return not self.rows
 
     def basis_matrix(self):
-        return Matrix(self.field, self.rows) if self.rows else Matrix(self.field, [])
+        return Matrix._of(self.field, self.rows)
 
     def pivots(self):
         """The pivot column of each basis row."""
@@ -436,13 +446,12 @@ class Subspace:
         """vector reduced against the RREF rows: zero at every pivot column,
         and zero altogether exactly when the vector lies in the subspace."""
         F = self.field
-        zero = F.zero
         v = list(vector)
         for row, pivot in zip(self.rows, self.pivots()):
             c = v[pivot]
-            if c != zero:
+            if c:
                 for j in range(pivot, self.ambient):
-                    if row[j] != zero:
+                    if row[j]:
                         v[j] = F.sub(v[j], F.mul(c, row[j]))
         return v
 
@@ -661,7 +670,7 @@ def commutant(gens):
                 for a in range(n):
                     row[a * n + j] = F.sub(row[a * n + j], T.rows[i][a])
                 constraints.append(row)
-    M = Matrix(F, constraints)
+    M = Matrix._of(F, constraints)
     return Subspace.from_vectors(F, n * n, M.kernel_basis())
 
 
@@ -764,7 +773,7 @@ def joint_eigenprojections(Ts):
         ind_rows = [list(r) for r in ind.rows]
         for t in range(offset, offset + len(block)):
             ind_rows[t][t] = F.one
-        proj = P * Matrix(F, ind_rows) * Pinv
+        proj = P * Matrix._of(F, ind_rows) * Pinv
         out.append((sig, proj))
         offset += len(block)
     return out

@@ -172,10 +172,10 @@ class Operator:
     def from_matrix(cls, field, M):
         """Window-only embedding of a finite matrix, zero beyond it."""
         corr = {}
-        for i in range(M.nrows):
-            for j in range(M.ncols):
-                if M.rows[i][j] != field.zero:
-                    corr[(i, j)] = M.rows[i][j]
+        for i, row in enumerate(M.rows):
+            for j, x in enumerate(row):
+                if x:
+                    corr[(i, j)] = x
         return cls(field, corrections=corr)
 
     # -- structure -----------------------------------------------------------
@@ -258,12 +258,8 @@ class Operator:
                 d = d1 + d2
                 bands[d] = bands[d] + term if d in bands else term
         out = Operator(F, bands)
-        assert all(
-            seq.at(j) == F.zero
-            for d, seq in out.bands.items()
-            if d < 0
-            for j in range(-d)
-        ), "product leaked below row 0"
+        if any(seq.at(j) != F.zero for d, seq in out.bands.items() if d < 0 for j in range(-d)):
+            raise InvariantViolated("product leaked below row 0")
         return out
 
     __rmul__ = scale
@@ -652,14 +648,16 @@ def spectrum(T):
         lam = res.core_d.rows[idx][idx]
         col = res.core_p.col(idx)
         v = FiniteVector(F, {i: x for i, x in enumerate(col)})
-        assert T.apply(v) == v.scale(lam)
+        if T.apply(v) != v.scale(lam):
+            raise InvariantViolated("window eigenvector fails T v = lambda v")
         eigen.append((lam, v))
     tail_vals = res.tail.value_set()
     for lam in sorted(tail_vals, key=F.sort_key):
         for j in range(m, m + len(res.tail.pre) + len(res.tail.per)):
             if T.entry(j, j) == lam:
                 v = FiniteVector.basis(F, j)
-                assert T.apply(v) == v.scale(lam)
+                if T.apply(v) != v.scale(lam):
+                    raise InvariantViolated("tail eigenvector fails T v = lambda v")
                 eigen.append((lam, v))
                 break
     return SpectrumReport(eigen, sorted(tail_vals, key=F.sort_key))

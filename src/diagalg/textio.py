@@ -38,6 +38,8 @@ def format_field(field):
 
 def _split_top(text, sep=","):
     """Split on sep at bracket depth zero."""
+    if not any(ch in text for ch in "[]()"):
+        return [p.strip() for p in text.split(sep)]
     parts = []
     depth = 0
     cur = []

@@ -249,33 +249,32 @@ def idempotent_family(d, level, check_refinement=True):
     """Projections onto the level's subspaces along their complements,
     embedded window-only (zero beyond the window), in binary-string order.
 
-    Asserts orthogonality, that the family sums to the identity on the
-    window, and (for levels below the depth) the refinement of each member
-    into its two children.
+    Certifies orthogonality (Binv B = I gives E_a E_b = delta_ab E_a for
+    every pair, since E_a = B_a Binv_a), that the family sums to the
+    identity on the window, and (for levels below the depth) the refinement
+    of each member into its two children.
     """
     rep = verify(d)
     if not rep.ok:
         raise VerifyFailed(f"decomposition fails clause {rep.clause} at {rep.witness}")
     if not 0 <= level <= d.depth:
         raise ValueError("level out of range")
-    mats = _level_projections(d, level)
     F = d.field
-    M = d.window
-    window_identity = Operator.from_matrix(F, Matrix.identity(F, M))
-    ops = [Operator.from_matrix(F, mat) for _, mat in mats]
-    total = Operator.zero(F)
-    for a in range(len(ops)):
-        for b in range(len(ops)):
-            if a != b:
-                assert (ops[a] * ops[b]).is_zero()
-        assert ops[a].is_idempotent()
-        total = total + ops[a]
-    assert total == window_identity
+    identity = Matrix.identity(F, d.window)
+    B, Binv, mats = _level_projections(d, level)
+    if Binv * B != identity:
+        raise InvariantViolated("level projections are not orthogonal idempotents")
+    total = Matrix.zeros(F, d.window)
+    for _, mat in mats:
+        total = total + mat
+    if total != identity:
+        raise InvariantViolated("level projections do not sum to the identity")
     if check_refinement and level < d.depth:
-        children = dict(_level_projections(d, level + 1))
+        children = dict(_level_projections(d, level + 1)[2])
         for name, mat in mats:
-            assert mat == children[name + "0"] + children[name + "1"]
-    return ops
+            if mat != children[name + "0"] + children[name + "1"]:
+                raise InvariantViolated(f"projection {name!r} is not the sum of its children")
+    return [Operator.from_matrix(F, mat) for _, mat in mats]
 
 
 def level_labels(d, level):
@@ -283,27 +282,26 @@ def level_labels(d, level):
 
 
 def _level_projections(d, level):
+    """(B, Binv, [(name, E_name)]): B has the level's node bases as columns,
+    and E_name = B_name Binv_name is the projection onto the node along the
+    other nodes of the level (B_name its columns, Binv_name its rows)."""
     F = d.field
-    M = d.window
-    names = _strings(level)
-    cols = []
     spans = []
-    for name in names:
+    cols = []
+    for name in _strings(level):
         rows = d.nodes[name].rows
         spans.append((name, len(rows)))
-        cols.extend([list(r) for r in rows])
+        cols.extend(rows)
     B = Matrix.from_cols(F, cols)
     Binv = B.inverse()
     out = []
     offset = 0
     for name, k in spans:
-        block = Matrix(F, [
-            [B.rows[i][offset + t] for t in range(k)] for i in range(M)
-        ])
-        rows_part = Matrix(F, [Binv.rows[offset + t] for t in range(k)])
+        block = Matrix.from_cols(F, cols[offset:offset + k])
+        rows_part = Matrix._of(F, Binv.rows[offset:offset + k])
         out.append((name, block * rows_part))
         offset += k
-    return out
+    return B, Binv, out
 
 
 class EigenSearchReport:
@@ -345,33 +343,35 @@ def no_common_eigenvector(d, through_level):
         candidates = Subspace.full(F, M)
     else:
         candidates = Subspace.from_vectors(F, M, [_unit(F, M, k) for k in range(m)])
-    projections = []
-    for level in range(0, m + 1):
-        projections.extend(mat for _, mat in _level_projections(d, level))
     spaces = [candidates]
-    for E in projections:
-        refined = []
-        for S in spaces:
-            if S.is_zero():
-                continue
-            for lam in (F.zero, F.one):
-                shifted = E - Matrix.identity(F, M).scale(lam)
-                eigenspace = Subspace.from_vectors(F, M, shifted.kernel_basis())
-                cut = S.intersection(eigenspace)
-                if not cut.is_zero():
-                    refined.append(cut)
-        spaces = refined
-        if not spaces:
-            return EigenSearchReport(True, level=m)
-    for S in spaces:
-        if not S.is_zero():
-            v = list(S.rows[0])
-            for E in projections:
-                img = E.matvec(v)
-                if img != [F.zero] * M and img != v:
-                    raise InvariantViolated("refinement produced a non-eigenvector")
-            return EigenSearchReport(False, vector=FiniteVector(F, dict(enumerate(v))), level=m)
-    return EigenSearchReport(True, level=m)
+    for level in range(0, m + 1):
+        for name in _strings(level):
+            eigenspaces = _eigenspaces(d, level, name)
+            refined = []
+            for S in spaces:
+                for eigenspace in eigenspaces:
+                    cut = S.intersection(eigenspace)
+                    if not cut.is_zero():
+                        refined.append(cut)
+            spaces = refined
+            if not spaces:
+                return EigenSearchReport(True, level=m)
+    v = list(spaces[0].rows[0])
+    for level in range(0, m + 1):
+        for _, E in _level_projections(d, level)[2]:
+            img = E.matvec(v)
+            if img != [F.zero] * M and img != v:
+                raise InvariantViolated("refinement produced a non-eigenvector")
+    return EigenSearchReport(False, vector=FiniteVector(F, dict(enumerate(v))), level=m)
+
+
+def _eigenspaces(d, level, name):
+    """The 0- and 1-eigenspaces of the level's projection onto node name.
+    The level's nodes form a direct sum of the window (certified by
+    verify), so they are the sum of the other nodes and the node itself."""
+    others = [row for other in _strings(level) if other != name
+              for row in d.nodes[other].rows]
+    return Subspace.from_vectors(d.field, d.window, others), d.nodes[name]
 
 
 class DiscretenessReport:
@@ -409,17 +409,18 @@ def discreteness_witness(d):
     L = Matrix.from_cols(F, [comps[leaf] for leaf in leaves])
     rank = L.rank()
     injective = rank == len(leaves)
-    # idempotent killing w: basis {w, completion}, projection along w
-    echelon = Echelon(F)
-    if not _extends(echelon, d.w):
+    # idempotent killing w: completing w by unit vectors skips exactly e_k0,
+    # k0 the last support index of w, and the projection along w onto the
+    # other unit vectors is E = I - w e_k0^T / w_k0
+    w = [F.scalar(x) for x in d.w]
+    k0 = max((k for k, x in enumerate(w) if x), default=None)
+    if k0 is None:
         raise VerifyFailed("witness vector is zero")
-    basis = [list(d.w)]
-    for k in range(M):
-        if _extends(echelon, _unit(F, M, k)):
-            basis.append(_unit(F, M, k))
-    B = Matrix.from_cols(F, basis)
-    diag = Matrix.diagonal(F, [F.zero] + [F.one] * (M - 1))
-    E = B * diag * B.inverse()
-    if E * E != E or E.matvec(list(d.w)) != [F.zero] * M:
+    rows = [_unit(F, M, i) for i in range(M)]
+    for i, x in enumerate(w):
+        if x:
+            rows[i][k0] = F.sub(rows[i][k0], F.div(x, w[k0]))
+    E = Matrix._of(F, rows)
+    if E * E != E or E.matvec(w) != [F.zero] * M:
         raise InvariantViolated("the annihilator idempotent fails E^2 = E or E w = 0")
     return DiscretenessReport(injective, rank, len(leaves), E)

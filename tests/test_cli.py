@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -64,6 +65,40 @@ class TestTextRoundTrips:
     def test_setmap(self):
         phi = SetMap(3, 2, [0, 1, 1])
         assert textio.parse_setmap(textio.format_setmap(phi)) == phi
+
+    def test_rational_scalar_parsing_matches_fraction(self):
+        corpus = ["3", " -7 ", "+3", "-0", "007", "1_000", "\u0663", "1/2", "-3/6",
+                  "1.5", "", "-", "--1", "3 4", "\u00b3", "+-3", " 12 / 8 "]
+        for text in corpus:
+            try:
+                expected = Fraction(text)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    QQ.parse_scalar(text)
+                with pytest.raises(ParseError):
+                    textio.parse_scalar(QQ, text)
+                continue
+            for value in (QQ.parse_scalar(text), textio.parse_scalar(QQ, text)):
+                assert type(value) is Fraction and value == expected
+
+    def test_split_top_matches_bracket_walk(self):
+        def walk(text, sep=","):
+            parts, depth, cur = [], 0, []
+            for ch in text:
+                depth += (ch in "[(") - (ch in "])")
+                if ch == sep and depth == 0:
+                    parts.append("".join(cur))
+                    cur = []
+                else:
+                    cur.append(ch)
+            parts.append("".join(cur))
+            return [p.strip() for p in parts]
+
+        corpus = ["1,2,3", " 1 , -2/3 ,", "", ",", "7", "1;2", "[1,2],[3,4]",
+                  "[[1,2]],[3]", "(1,2),3", "a,[b,(c,d)],e", "1/2 , 3 mod 5"]
+        for text in corpus:
+            assert textio._split_top(text) == walk(text)
+        assert textio._split_top("1;2;[3;4]", ";") == walk("1;2;[3;4]", ";")
 
     def test_parse_errors_carry_location(self):
         with pytest.raises(ParseError):

@@ -91,6 +91,28 @@ class TestMatrixBasics:
         with pytest.raises(SizeMismatch):
             Matrix(QQ, [[1]]) * Matrix(QQ, [[1, 2], [3, 4]])
 
+    def test_public_constructor_coerces_and_rejects_ragged_rows(self):
+        M = Matrix(QQ, [[1, "1/2"], [Fraction(3), -4]])
+        assert all(type(x) is Fraction for row in M.rows for x in row)
+        assert M.rows == ((1, Fraction(1, 2)), (3, -4))
+        assert Matrix(GF(5), [[7, -1]]).rows == ((2, 4),)
+        for rows in ([[1, 2], [3]], [[1], [2, 3]]):
+            with pytest.raises(SizeMismatch):
+                Matrix(QQ, rows)
+        with pytest.raises(TypeError):
+            Matrix(QQ, [[1.5]])
+
+    def test_built_results_hold_field_scalars(self):
+        A = Matrix(QQ, [[1, 2], [3, 4]])
+        results = [A + A, A - A, -A, A * A, A.scale(3), A.transpose(), A.inverse(),
+                   A.rref()[0], A.solve_matrix(A), Matrix.from_cols(QQ, A.rows),
+                   Matrix.identity(QQ, 2), Matrix.zeros(QQ, 2, 3), Matrix.diagonal(QQ, [1, 2])]
+        for R in results:
+            assert all(len(row) == R.ncols for row in R.rows)
+            assert all(type(x) is Fraction for row in R.rows for x in row)
+        assert A.transpose() == Matrix(QQ, [[1, 3], [2, 4]])
+        assert Matrix.from_cols(QQ, A.rows) == A.transpose()
+
 
 class TestMinimalPolynomial:
     def test_identity(self):

@@ -1,6 +1,11 @@
 import pytest
 
-from diagalg.errors import FiniteFieldUnsupported, TruncationTooSmall, VerifyFailed
+from diagalg.errors import (
+    FiniteFieldUnsupported,
+    InvariantViolated,
+    TruncationTooSmall,
+    VerifyFailed,
+)
 from diagalg.fields import GF, QQ
 from diagalg.linalg import Matrix, Subspace
 from diagalg import treegen
@@ -186,3 +191,104 @@ class TestSerialization:
         bad = TreeDecomposition(QQ, 1, 8, nodes, d.w)
         with pytest.raises(ParseError):
             parse_tree(format_tree(bad))
+
+
+def _kernel_eigenspace(E, lam):
+    """Eigenspace of a matrix by its kernel: the reference the node-read
+    eigenspaces are checked against."""
+    F = E.field
+    shifted = E - Matrix.identity(F, E.nrows).scale(lam)
+    return Subspace.from_vectors(F, E.nrows, shifted.kernel_basis())
+
+
+def _nce_by_kernels(d, m):
+    """The common-eigenspace refinement with every eigenspace taken as a
+    kernel of E - lambda I: (confirmed, vector) as no_common_eigenvector
+    reports it."""
+    F, M = d.field, d.window
+    if m == 0:
+        spaces = [Subspace.full(F, M)]
+    else:
+        spaces = [Subspace.from_vectors(
+            F, M, [[1 if i == k else 0 for i in range(M)] for k in range(m)])]
+    for level in range(m + 1):
+        for _, E in treegen._level_projections(d, level)[2]:
+            spaces = [cut for S in spaces for lam in (0, 1)
+                      for cut in [S.intersection(_kernel_eigenspace(E, lam))]
+                      if not cut.is_zero()]
+            if not spaces:
+                return True, None
+    return False, dict(enumerate(spaces[0].rows[0]))
+
+
+def _killer_by_inverse(d):
+    """B diag(0, 1, ..., 1) B^-1 for B = [w, unit vectors completing w]."""
+    F, M = QQ, d.window
+    w = [F.scalar(x) for x in d.w]
+    basis = [w]
+    for k in range(M):
+        unit = [F.one if i == k else F.zero for i in range(M)]
+        if Subspace.from_vectors(F, M, basis + [unit]).dim == len(basis) + 1:
+            basis.append(unit)
+    B = Matrix.from_cols(F, basis)
+    return B * Matrix.diagonal(F, [0] + [1] * (M - 1)) * B.inverse()
+
+
+class TestCertificatesFromNodes:
+    def test_node_eigenspaces_match_kernels(self):
+        for n, M, seed in [(1, 8, None), (2, 16, 1), (3, 32, 2)]:
+            d = treegen.build(n, M, seed=seed)
+            for level in range(n + 1):
+                for name, E in treegen._level_projections(d, level)[2]:
+                    zero, one = treegen._eigenspaces(d, level, name)
+                    assert zero == _kernel_eigenspace(E, 0)
+                    assert one == _kernel_eigenspace(E, 1)
+
+    def test_no_common_eigenvector_matches_kernel_refinement(self):
+        for n, M, seed in [(1, 8, None), (2, 16, 3), (3, 32, 4)]:
+            d = treegen.build(n, M, seed=seed)
+            for m in range(n + 1):
+                rep = treegen.no_common_eigenvector(d, m)
+                confirmed, vector = _nce_by_kernels(d, m)
+                assert rep.confirmed == confirmed and rep.level == m
+                if not confirmed:
+                    assert rep.vector.entries == {i: x for i, x in vector.items() if x}
+
+    def test_corrupted_member_raises(self, monkeypatch):
+        d = treegen.build(2, 16)
+        real = treegen._level_projections
+
+        def corrupted(d, level):
+            B, Binv, mats = real(d, level)
+            name, E = mats[0]
+            return B, Binv, [(name, E + Matrix.identity(QQ, d.window))] + mats[1:]
+
+        monkeypatch.setattr(treegen, "_level_projections", corrupted)
+        for level in (0, 1, 2):
+            with pytest.raises(InvariantViolated):
+                treegen.idempotent_family(d, level)
+
+    def test_killer_matches_inverse_construction(self):
+        for n, M, seed in [(1, 8, None), (2, 16, 5), (3, 32, 6)]:
+            d = treegen.build(n, M, seed=seed)
+            tampered = [
+                d,
+                TreeDecomposition(QQ, n, M, dict(d.nodes), list(d.nodes["0" * n].rows[0])),
+                TreeDecomposition(QQ, n, M, dict(d.nodes), [k % 3 - 1 for k in range(M)]),
+            ]
+            for t in tampered:
+                assert treegen.discreteness_witness(t).killer == _killer_by_inverse(t)
+
+    def test_zero_witness_and_split_tampering_refused(self):
+        d = treegen.build(2, 16, seed=7)
+        zero = TreeDecomposition(QQ, 2, 16, dict(d.nodes), [0] * 16)
+        with pytest.raises(VerifyFailed):
+            treegen.discreteness_witness(zero)
+        nodes = dict(d.nodes)
+        nodes["1"] = Subspace.from_vectors(
+            QQ, 16, [d.nodes["0"].rows[0]] + list(d.nodes["1"].rows[1:]))
+        split = TreeDecomposition(QQ, 2, 16, nodes, d.w)
+        with pytest.raises(VerifyFailed):
+            treegen.discreteness_witness(split)
+        with pytest.raises(VerifyFailed):
+            treegen.idempotent_family(split, 1)

@@ -37,7 +37,6 @@ from .idempotents import (
     product_family,
     simultaneous_diagonalize_families,
     summability,
-    sums_to_one,
     validate,
 )
 from .funcalg import (

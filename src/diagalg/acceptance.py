@@ -21,7 +21,6 @@ from .funcalg import (
     quotient_algebra,
     radical,
     radical_of_product,
-    regular_representation,
     spec_of_hom,
     upper_triangular_algebra,
     SetMap,
@@ -33,8 +32,6 @@ from .idempotents import (
     product_family,
     simultaneous_diagonalize_families,
     summability,
-    sums_to_one,
-    validate,
 )
 from .linalg import Matrix, joint_eigenprojections, minimal_polynomial, poly_at_matrix
 from .operators import (
@@ -42,7 +39,6 @@ from .operators import (
     Operator,
     annihilator_applies,
     closure_membership,
-    finite_field_diag_check,
 )
 from . import treegen
 
@@ -145,7 +141,7 @@ def criterion_2(seed):
         field = (QQ, GF(2), GF(5))[t % 3]
         fam = _random_partition_family(rng, field)
         rep = summability(fam)
-        if not rep.summable or not sums_to_one(fam):
+        if not rep.sums_to_one:
             failures.append(f"partition family #{t} not summable to 1")
             continue
         members = fam.members()

@@ -19,7 +19,7 @@ import time
 
 from . import acceptance, textio, treegen
 from .errors import AlgebraError, DoesNotSplitSimply, ParseError
-from .fields import Polynomial, poly_splits_simply
+from .fields import poly_splits_simply
 from .funcalg import (
     FunctionAlgebra,
     classical_equivalences,
@@ -29,7 +29,7 @@ from .funcalg import (
     spec0,
     spec_of_hom,
 )
-from .idempotents import summability, sums_to_one
+from .idempotents import summability
 from .linalg import diagonalize_finite, simultaneous_diagonalize_finite
 from .operators import (
     closure_membership,
@@ -155,7 +155,7 @@ def cmd_summable(args):
               "verdict": "summable" if rep.summable else "not_summable"}
     if rep.summable:
         report["sum"] = format_operator(rep.sum)
-        report["sums_to_one"] = sums_to_one(fam)
+        report["sums_to_one"] = rep.sums_to_one
         return _emit(report, EXIT_POSITIVE)
     report["witness_index"] = rep.witness_index
     return _emit(report, EXIT_NEGATIVE)
@@ -210,7 +210,7 @@ def cmd_tree(args):
         level = args.level if args.level is not None else d.depth
         ops = treegen.idempotent_family(d, level)
         report = {"command": "tree family", "verdict": "ok", "level": level,
-                  "labels": treegen.level_labels(d, level),
+                  "labels": treegen.strings(level),
                   "members": [format_operator(op) for op in ops]}
         return _emit(report, EXIT_POSITIVE)
     raise ParseError(f"unknown tree action {args.action!r}")
@@ -247,13 +247,13 @@ def cmd_duality_check(args):
 
 def cmd_crt(args):
     field = parse_field(args.field)
-    f = Polynomial(field, textio.parse_scalar_list(field, _read_input(args).strip()))
+    f = textio.parse_polynomial(field, _read_input(args))
     try:
         split = crt_split(f)
     except DoesNotSplitSimply as exc:
-        rep = poly_splits_simply(f)
         report = {"command": "crt", "field": format_field(field),
-                  "verdict": "does_not_split_simply", "reason": str(exc) or rep.reason}
+                  "verdict": "does_not_split_simply",
+                  "reason": str(exc) or poly_splits_simply(f).reason}
         return _emit(report, EXIT_NEGATIVE)
     report = {"command": "crt", "field": format_field(field), "verdict": "splits",
               "roots": [field.format_scalar(r) for r in split.roots],

@@ -94,10 +94,6 @@ class TruncationTooSmall(AlgebraError):
     pass
 
 
-class FiniteFieldUnsupported(AlgebraError):
-    pass
-
-
 class VerifyFailed(AlgebraError):
     pass
 

@@ -264,11 +264,6 @@ class Polynomial:
     def is_zero(self):
         return not self.coeffs
 
-    def leading(self):
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == self.field.one
 
@@ -344,9 +339,6 @@ class Polynomial:
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def divides(self, other):
-        return (other % self).is_zero()
 
     def gcd(self, other):
         a, b = self, other
@@ -461,9 +453,9 @@ class SplitsReport:
         return f"No({self.reason})"
 
 
-def _int_divisors(n, max_bits):
+def _int_divisors(n):
     n = abs(n)
-    if n.bit_length() > max_bits:
+    if n.bit_length() > DEFAULT_MAX_BITS:
         raise CapacityExceeded(f"divisor enumeration on a {n.bit_length()}-bit integer")
     factors = {}
     d = 2
@@ -484,7 +476,7 @@ def _int_divisors(n, max_bits):
     return sorted(divs)
 
 
-def _rational_roots(f, max_bits):
+def _rational_roots(f):
     """All rational roots of f over Q, by divisor enumeration on the integer
     form, with full deflation.  Roots are returned with multiplicity."""
     F = f.field
@@ -505,8 +497,8 @@ def _rational_roots(f, max_bits):
             g = gcd(g, c)
         ints = [c // g for c in ints]
         found = None
-        for p in _int_divisors(ints[0], max_bits):
-            for q in _int_divisors(ints[-1], max_bits):
+        for p in _int_divisors(ints[0]):
+            for q in _int_divisors(ints[-1]):
                 if gcd(p, q) != 1:
                     continue
                 for sign in (1, -1):
@@ -645,7 +637,7 @@ def _linear_roots(f, p, h=None):
     return roots
 
 
-def poly_roots_in_field(f, max_bits=DEFAULT_MAX_BITS):
+def poly_roots_in_field(f):
     """The distinct roots of f lying in its own field (irrational or
     extension-field roots are simply not reported).  Over F_p they are the
     roots of gcd(f, x^p - x), split out by _linear_roots."""
@@ -659,11 +651,11 @@ def poly_roots_in_field(f, max_bits=DEFAULT_MAX_BITS):
         fl = list(f.monic().coeffs)
         xp = _powmod_p([0, 1], p, fl, p)
         return _linear_roots(_gcd_p(fl, _sub_p(xp, [0, 1], p), p), p)
-    roots, _ = _rational_roots(f.monic(), max_bits)
+    roots, _ = _rational_roots(f.monic())
     return sorted(set(roots))
 
 
-def poly_splits_simply(f, field=None, max_bits=DEFAULT_MAX_BITS):
+def poly_splits_simply(f):
     """Decide whether f is a product of pairwise distinct linear factors
     over its field, and if so return the sorted roots.
 
@@ -677,8 +669,6 @@ def poly_splits_simply(f, field=None, max_bits=DEFAULT_MAX_BITS):
     if f.is_zero():
         raise ZeroPolynomial("splitting test on 0")
     F = f.field
-    if field is not None and field != F:
-        raise FieldMismatch(f"polynomial over {F}, test requested over {field}")
     f = f.monic()
     if f.degree == 0:
         return SplitsReport(True, roots=[])
@@ -698,7 +688,7 @@ def poly_splits_simply(f, field=None, max_bits=DEFAULT_MAX_BITS):
     g = f.gcd(f.derivative())
     if g.degree > 0:
         return SplitsReport(False, reason="repeated factor")
-    roots, rest = _rational_roots(f, max_bits)
+    roots, rest = _rational_roots(f)
     if rest.degree >= 1:
         return SplitsReport(False, reason=f"no rational root of residual degree {rest.degree}")
     return SplitsReport(True, roots=sorted(roots, key=F.sort_key))
@@ -772,9 +762,6 @@ class EPSeq:
 
     def period_nowhere_zero(self):
         return all(c != self.field.zero for c in self.per)
-
-    def window(self, n):
-        return [self.at(i) for i in range(n)]
 
     def value_set(self):
         return set(self.pre) | set(self.per)

@@ -38,7 +38,6 @@ from .linalg import (
     diagonalize_finite,
     matrix_from_vec,
     matrix_to_vec,
-    minimal_polynomial,
     poly_at_matrix,
 )
 
@@ -213,14 +212,10 @@ def dual_map(phi, field):
 
 def spec_of_hom(h):
     """Recover the set map from an algebra map: each point of X evaluates
-    through h at exactly one point of Y."""
-    F = h.field
-    images = []
-    for x in range(h.cod_size):
-        hits = [y for y in range(h.dom_size) if h.matrix.rows[x][y] == F.one]
-        if len(hits) != 1:
-            raise NotAlgebraHom(f"row {x} does not pick a unique point")
-        images.append(hits[0])
+    through h at exactly one point of Y.  The AlgebraHom constructor has
+    certified that every row has exactly one nonzero entry, with v^2 = v,
+    i.e. v = 1, so the point is the column of that entry."""
+    images = [next(y for y, v in enumerate(row) if v) for row in h.matrix.rows]
     return SetMap(h.cod_size, h.dom_size, images)
 
 
@@ -380,21 +375,16 @@ class FiniteAlgebra:
             self._validate()
 
     def _validate(self):
-        F = self.field
         d = self.dim
-        for i in range(d):
-            ei = tuple(F.one if t == i else F.zero for t in range(d))
+        units = [self.basis_element(i) for i in range(d)]
+        for ei in units:
             if self.multiply(self.unit, ei) != ei or self.multiply(ei, self.unit) != ei:
                 raise NotAssociative("unit laws fail")
         for i in range(d):
             for j in range(d):
                 for k in range(d):
-                    ek = tuple(F.one if t == k else F.zero for t in range(d))
-                    left = self.multiply(self.table[i][j], ek)
-                    ej = tuple(F.one if t == j else F.zero for t in range(d))
-                    right = self.multiply(
-                        tuple(F.one if t == i else F.zero for t in range(d)),
-                        self.table[j][k])
+                    left = self.multiply(self.table[i][j], units[k])
+                    right = self.multiply(units[i], self.table[j][k])
                     if left != right:
                         raise NotAssociative(f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})")
 
@@ -740,8 +730,8 @@ def classical_equivalences(T):
         raise NotSquare("equivalence report needs a square matrix")
     F = T.field
     n = T.nrows
-    mu = minimal_polynomial(T)
     diag = diagonalize_finite(T)
+    mu = diag.mu
     split_rep = poly_splits_simply(mu)
     idems = None
     idems_ok = False

@@ -82,14 +82,8 @@ class PartitionFamily:
     def members(self):
         return [self.member(c) for c in self.colors()]
 
-    def labels(self):
-        return self.colors()
-
     def support_indices(self, j):
         return {self.colors().index(self.color_at(j))}
-
-    def is_finite(self):
-        return True  # finitely many members (each of infinite rank)
 
     def __repr__(self):
         return f"partition pre={list(self.pre)} per={list(self.per)}"
@@ -107,9 +101,6 @@ class ExplicitFamily:
     def members(self):
         return list(self.ops)
 
-    def labels(self):
-        return list(range(len(self.ops)))
-
     def support_indices(self, j):
         F = self.field
         out = set()
@@ -117,9 +108,6 @@ class ExplicitFamily:
             if not op.apply(FiniteVector.basis(F, j)).is_zero():
                 out.add(idx)
         return out
-
-    def is_finite(self):
-        return True
 
     def __repr__(self):
         return f"explicit({len(self.ops)} members)"
@@ -156,9 +144,6 @@ class PatternFamily:
     def members(self, limit=8):
         return [self.member(i) for i in range(self.i0, self.i0 + limit)]
 
-    def labels(self):
-        return INFINITE
-
     def support_indices(self, j):
         out = set()
         for ar, br, ac, bc in self.terms:
@@ -170,9 +155,6 @@ class PatternFamily:
             if num % ac == 0 and num // ac >= self.i0:
                 out.add(num // ac)
         return out
-
-    def is_finite(self):
-        return False
 
     def __repr__(self):
         body = ", ".join(f"(r={a}*i+{b}, c={c}*i+{d})" for a, b, c, d in self.terms)
@@ -336,12 +318,16 @@ def validate(family, sample_bound=24):
 
 
 class SummabilityReport:
-    __slots__ = ("summable", "sum", "witness_index")
+    """The verdict, the sum when there is one, and whether that sum is the
+    identity (``sums_to_one``), so that no caller re-validates the family."""
+
+    __slots__ = ("summable", "sum", "witness_index", "sums_to_one")
 
     def __init__(self, summable, sum_op=None, witness_index=None):
         self.summable = summable
         self.sum = sum_op
         self.witness_index = witness_index
+        self.sums_to_one = summable and sum_op == Operator.identity(sum_op.field)
 
     def __bool__(self):
         return self.summable
@@ -369,9 +355,10 @@ def summability(family):
         total = Operator.zero(F)
         for op in family.members():
             total = total + op
-        if total != Operator.identity(F):
+        rep = SummabilityReport(True, total)
+        if not rep.sums_to_one:
             raise InvariantViolated("partition family does not sum to the identity")
-        return SummabilityReport(True, total)
+        return rep
     if family.kind == "explicit":
         total = Operator.zero(F)
         for op in family.ops:
@@ -399,11 +386,6 @@ def summability(family):
     return SummabilityReport(True, total)
 
 
-def sums_to_one(family):
-    rep = summability(family)
-    return bool(rep) and rep.sum == Operator.identity(family.field)
-
-
 class LubReport:
     __slots__ = ("premise_left", "premise_right", "premise_both",
                  "sum_left", "sum_right", "sum_both", "consistent")
@@ -424,13 +406,13 @@ class LubReport:
                 f"both={self.sum_both}; consistent={self.consistent})")
 
 
-def lub_check(family, f, probe=24):
+def lub_check(family, f):
     """Check, in each idempotent ordering, whether every member sits below f
     and whether the sum does; the least-upper-bound law (members below f
     implies sum below f) is asserted on the instance.
 
     e <=_l f means ef = e; e <=_r f means fe = e; <= is both.  Infinite
-    pattern families are probed on their first ``probe`` members.
+    pattern families are probed on their first 24 members.
     """
     if not f.is_idempotent():
         raise NotIdempotent("comparison element is not idempotent")
@@ -438,7 +420,7 @@ def lub_check(family, f, probe=24):
     if not rep.summable:
         raise NotSummable(f"family is not summable (witness j={rep.witness_index})")
     e = rep.sum
-    members = family.members(probe) if family.kind == "pattern" else family.members()
+    members = family.members(24) if family.kind == "pattern" else family.members()
     pl = all((m * f) == m for m in members)
     pr = all((f * m) == m for m in members)
     pb = pl and pr
@@ -492,14 +474,13 @@ def product_family(E, F_fam):
     if E.kind == "partition" and F_fam.kind == "partition":
         out = _combined_partition(E, F_fam)
     else:
-        for a, ea in enumerate(E.members()):
-            for b, fb in enumerate(F_fam.members()):
-                if not ea.commutes_with(fb):
-                    raise NonCommuting(f"members {a} and {b} do not commute")
+        f_members = F_fam.members()
         prods = []
-        for ea in E.members():
-            for fb in F_fam.members():
+        for a, ea in enumerate(E.members()):
+            for b, fb in enumerate(f_members):
                 p = ea * fb
+                if p != fb * ea:
+                    raise NonCommuting(f"members {a} and {b} do not commute")
                 if not p.is_zero():
                     prods.append(p)
         out = ExplicitFamily(field, prods)
@@ -526,36 +507,40 @@ class SimDiagFamilies:
 def simultaneous_diagonalize_families(E, F_fam):
     """Refine two commuting summable families with sum 1 into their product
     family, asserting the marginal identities sum_j E_i F_j = E_i and
-    sum_i E_i F_j = F_j and that the refinement again sums to 1."""
+    sum_i E_i F_j = F_j.  The refinement sums to 1 because product_family
+    certifies its sum as (sum E)(sum F) and both factors are 1."""
     try:
-        if not sums_to_one(E):
+        if not summability(E).sums_to_one:
             return SimDiagFamilies(False, reason="left family does not sum to 1")
-        if not sums_to_one(F_fam):
+        if not summability(F_fam).sums_to_one:
             return SimDiagFamilies(False, reason="right family does not sum to 1")
-        for a, ea in enumerate(E.members()):
-            for b, fb in enumerate(F_fam.members()):
-                if not ea.commutes_with(fb):
+        e_members = E.members()
+        f_members = F_fam.members()
+        table = []
+        for a, ea in enumerate(e_members):
+            row = []
+            for b, fb in enumerate(f_members):
+                p = ea * fb
+                if p != fb * ea:
                     return SimDiagFamilies(
                         False, reason=f"members {a} and {b} do not commute")
+                row.append(p)
+            table.append(row)
         refined = product_family(E, F_fam)
     except (InvalidFamily, NotSummable, NonCommuting) as exc:
         return SimDiagFamilies(False, reason=str(exc))
-    f_sum = summability(F_fam).sum
-    e_sum = summability(E).sum
-    for ea in E.members():
+    for ea, row in zip(e_members, table):
         total = Operator.zero(E.field)
-        for fb in F_fam.members():
-            total = total + ea * fb
+        for p in row:
+            total = total + p
         if total != ea:
             raise InvariantViolated("row marginal failed")
-    for fb in F_fam.members():
+    for b, fb in enumerate(f_members):
         total = Operator.zero(E.field)
-        for ea in E.members():
-            total = total + ea * fb
+        for row in table:
+            total = total + row[b]
         if total != fb:
             raise InvariantViolated("column marginal failed")
-    if not summability(refined).sum == e_sum * f_sum == Operator.identity(E.field):
-        raise InvariantViolated("refined family does not sum to the identity")
     return SimDiagFamilies(True, refined=refined)
 
 

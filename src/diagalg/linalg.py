@@ -143,9 +143,6 @@ class Matrix:
         i, j = ij
         return self.rows[i][j]
 
-    def row(self, i):
-        return list(self.rows[i])
-
     def col(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]
 
@@ -461,9 +458,6 @@ class Subspace:
         if len(v) != self.ambient:
             raise SizeMismatch("vector length differs from ambient dimension")
         return all(x == F.zero for x in self.residue(v))
-
-    def contains_subspace(self, other):
-        return all(self.contains(r) for r in other.rows)
 
     def __eq__(self, other):
         return (

@@ -52,10 +52,6 @@ class FiniteVector:
     def zero(cls, field):
         return cls(field, {})
 
-    @classmethod
-    def from_list(cls, field, values):
-        return cls(field, {i: v for i, v in enumerate(values)})
-
     def is_zero(self):
         return not self.entries
 
@@ -190,9 +186,6 @@ class Operator:
     def max_offset(self):
         return max(self.bands) if self.bands else 0
 
-    def min_offset(self):
-        return min(self.bands) if self.bands else 0
-
     def preperiod_bound(self):
         return max((len(s.pre) for s in self.bands.values()), default=0)
 
@@ -257,10 +250,12 @@ class Operator:
                     continue
                 d = d1 + d2
                 bands[d] = bands[d] + term if d in bands else term
-        out = Operator(F, bands)
-        if any(seq.at(j) != F.zero for d, seq in out.bands.items() if d < 0 for j in range(-d)):
-            raise InvariantViolated("product leaked below row 0")
-        return out
+        try:
+            return Operator(F, bands)
+        except NegativeIndexLeak as exc:
+            # the factors are operators, so a leak here is a product bug,
+            # not an input error
+            raise InvariantViolated("product leaked below row 0") from exc
 
     __rmul__ = scale
 
@@ -273,9 +268,6 @@ class Operator:
             base = base * base
             e >>= 1
         return result
-
-    def commutes_with(self, other):
-        return (self * other) == (other * self)
 
     def is_idempotent(self):
         return (self * self) == self
@@ -582,7 +574,7 @@ def _nonsplit_witness(T, basis_rows, depth):
         rep = krylov_torsion(T, v, depth)
         if rep.outcome == "torsion" and not poly_splits_simply(rep.annihilator).splits:
             return v, rep.annihilator
-    raise AssertionError("no witness in a non-diagonalizable torsion part")
+    raise InvariantViolated("no witness in a non-diagonalizable torsion part")
 
 
 # ---------------------------------------------------------------------------

@@ -177,8 +177,8 @@ def parse_operator_lines(lines, field=None, start_line=1):
     return Operator(field, bands, corrections)
 
 
-def parse_operator(text, field=None):
-    return parse_operator_lines(text.splitlines(), field=field)
+def parse_operator(text):
+    return parse_operator_lines(text.splitlines())
 
 
 def format_operator(T):
@@ -251,15 +251,15 @@ def parse_family(text):
             if field is None:
                 raise ParseError("family needs a field header", line=idx)
             count = int(line.split()[1])
-            blocks = [[]]
-            for raw in lines[idx:]:
+            blocks = [(idx + 1, [])]  # (document line of the block's start, lines)
+            for lineno, raw in enumerate(lines[idx:], start=idx + 1):
                 if raw.strip() == "---":
-                    blocks.append([])
+                    blocks.append((lineno + 1, []))
                 else:
-                    blocks[-1].append(raw)
+                    blocks[-1][1].append(raw)
             members = [
-                parse_operator_lines(block, field=field)
-                for block in blocks
+                parse_operator_lines(block, field=field, start_line=start)
+                for start, block in blocks
                 if any(b.strip() for b in block)
             ]
             if len(members) != count:
@@ -273,8 +273,7 @@ def parse_family(text):
 def format_family(fam):
     field_line = f"field {format_field(fam.field)}"
     if fam.kind == "partition":
-        return (f"{field_line}\npartition pre={list(fam.pre)} "
-                f"per={list(fam.per)}").replace(" ", " ")
+        return f"{field_line}\npartition pre={list(fam.pre)} per={list(fam.per)}"
     if fam.kind == "pattern":
         terms = ", ".join(
             f"(r={a}*i{b:+d}, c={c}*i{d:+d})" for a, b, c, d in fam.terms)

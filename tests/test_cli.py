@@ -105,6 +105,12 @@ class TestTextRoundTrips:
             textio.parse_operator("band 1: pre=[] per=[1]")  # missing field
         with pytest.raises(ParseError):
             textio.parse_epseq(QQ, "pre=[1]")
+        # a bad line inside an explicit member block names its document line
+        doc = ("field Q\nexplicit 2\nband 0: pre=[1] per=[0]\n---\n"
+               "band 0: pre=[0] per=[1]\nbogus line")
+        with pytest.raises(ParseError) as exc:
+            textio.parse_family(doc)
+        assert exc.value.line == 6 and str(exc.value).endswith("(line 6)")
 
 
 def run_cli(capsys, *argv):
@@ -273,3 +279,25 @@ class TestSuiteReproducibility:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestCertifyOnce:
+    def test_summable_validates_once(self, capsys, monkeypatch):
+        from diagalg import idempotents
+        calls = []
+        real = idempotents.validate
+
+        def counting(family, *args, **kwargs):
+            calls.append(family)
+            return real(family, *args, **kwargs)
+
+        monkeypatch.setattr(idempotents, "validate", counting)
+        docs = ["field Q\npartition pre=[] per=[1,2]",
+                "field Q\nexplicit 2\nband 0: pre=[1] per=[0]\n---\n"
+                "band 0: pre=[0] per=[1]",
+                "field Q\nexplicit 1\ncorr (0,0)=1"]
+        for doc, to_one in zip(docs, (True, True, False)):
+            calls.clear()
+            code, rep = run_cli(capsys, "summable", "--text", doc)
+            assert code == 0 and rep["sums_to_one"] is to_one
+            assert len(calls) == 1

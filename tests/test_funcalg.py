@@ -361,3 +361,19 @@ class TestClassicalEquivalences:
         assert rep.algebra_dim == 3 and len(rep.idempotents) == 3
         for E in rep.idempotents:
             assert E * E == E
+
+    def test_minimal_polynomial_computed_once(self, monkeypatch):
+        from diagalg import funcalg, linalg
+        calls = []
+        real = linalg.minimal_polynomial
+
+        def counting(T):
+            calls.append(T)
+            return real(T)
+
+        monkeypatch.setattr(linalg, "minimal_polynomial", counting)
+        monkeypatch.setattr(funcalg, "minimal_polynomial", counting, raising=False)
+        for T in (Matrix.diagonal(QQ, [1, 2, 2]), Matrix(QQ, [[0, 1], [0, 0]])):
+            calls.clear()
+            rep = classical_equivalences(T)
+            assert len(calls) == 1 and rep.mu == real(T)

@@ -14,7 +14,6 @@ from diagalg.idempotents import (
     product_family,
     simultaneous_diagonalize_families,
     summability,
-    sums_to_one,
     validate,
 )
 from diagalg.operators import FiniteVector, Operator
@@ -100,7 +99,7 @@ class TestSummability:
         total = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(*dense)]
         assert rep.sum.truncate(12) .rows == tuple(
             tuple(Fraction(x) for x in row) for row in total)
-        assert sums_to_one(fam)
+        assert rep.sums_to_one
 
     def test_summable_pattern_sum(self):
         # units on even positions: E_i = unit(2i, 2i), summable, sum is the
@@ -123,9 +122,10 @@ class TestSummability:
         assert rep.summable and rep.sum.is_idempotent()
 
     def test_sums_to_one_cases(self):
-        assert sums_to_one(even_odd())
-        assert not sums_to_one(ExplicitFamily(QQ, [Operator.matrix_unit(QQ, 0, 0)]))
-        assert not sums_to_one(paper_pattern_family())
+        assert summability(even_odd()).sums_to_one
+        assert not summability(
+            ExplicitFamily(QQ, [Operator.matrix_unit(QQ, 0, 0)])).sums_to_one
+        assert not summability(paper_pattern_family()).sums_to_one
 
     def test_invalid_family_rejected(self):
         E = Operator.matrix_unit(QQ, 0, 0)
@@ -200,7 +200,7 @@ class TestSimDiagFamilies:
     def test_even_odd_with_mod3(self):
         res = simultaneous_diagonalize_families(even_odd(), mod_k(QQ, 3))
         assert res.ok
-        assert sums_to_one(res.refined)
+        assert summability(res.refined).sums_to_one
         assert len(res.refined.colors()) == 6
 
     def test_equal_families(self):
@@ -231,6 +231,54 @@ class TestSimDiagFamilies:
             assert res.ok
 
 
+class TestSimDiagFamiliesCertifyOnce:
+    @staticmethod
+    def _split(P):
+        I = Operator.identity(QQ)
+        return ExplicitFamily(QQ, [P, I - P])
+
+    def test_validates_each_family_once_per_summability(self, monkeypatch):
+        from diagalg import idempotents
+        calls = []
+        real = idempotents.validate
+
+        def counting(family, *args, **kwargs):
+            calls.append(family)
+            return real(family, *args, **kwargs)
+
+        monkeypatch.setattr(idempotents, "validate", counting)
+        E = self._split(Operator.matrix_unit(QQ, 0, 0))
+        F = self._split(Operator.diagonal(QQ, EPSeq(QQ, [], [0, 1])))
+        res = simultaneous_diagonalize_families(E, F)
+        assert res.ok and len(res.refined.ops) == 3
+        assert len(calls) <= 5
+        calls.clear()
+        assert simultaneous_diagonalize_families(even_odd(), mod_k(QQ, 3)).ok
+        assert len(calls) <= 5
+
+    def test_reasons(self):
+        unit = Operator.matrix_unit(QQ, 0, 0)
+        partial = ExplicitFamily(QQ, [unit])
+        # e00 and e00 + e01 are idempotents that do not commute
+        skew = self._split(unit + Operator.matrix_unit(QQ, 0, 1))
+        diagonal_units = PatternFamily(QQ, 0, [(1, 0, 1, 0)])
+        not_idempotent = ExplicitFamily(QQ, [Operator.identity(QQ).scale(2)])
+        cases = [
+            (partial, even_odd(), "left family does not sum to 1"),
+            (even_odd(), partial, "right family does not sum to 1"),
+            (self._split(unit), skew, "members 0 and 0 do not commute"),
+            (diagonal_units, even_odd(),
+             "products of pattern families are not representable"),
+            (diagonal_units, skew, "members 0 and 0 do not commute"),
+            (not_idempotent, even_odd(), "member 0 is not idempotent"),
+            (even_odd(), not_idempotent, "member 0 is not idempotent"),
+        ]
+        for E, F, reason in cases:
+            res = simultaneous_diagonalize_families(E, F)
+            assert not res.ok and res.refined is None
+            assert res.reason == reason
+
+
 class TestCommonEigenvector:
     def test_distinct_diagonal_found_at_zero(self):
         D = Operator.diagonal(QQ, EPSeq(QQ, [1, 2, 3], [4]))
@@ -257,7 +305,7 @@ class TestCommonEigenvector:
         # the whole level family, so the window search finds one; only the
         # infinite family has none
         d = treegen.build(2, 16)
-        ops = treegen.idempotent_family(d, 2, check_refinement=False)
+        ops = treegen.idempotent_family(d, 2)
         res = common_eigenvector_search(ops, truncation=16)
         assert res.found
         for T, lam in zip(ops, res.eigenvalues):

@@ -427,3 +427,16 @@ class TestGrowthCertificate:
     def test_requires_nowhere_zero_period(self):
         T = Operator(QQ, {1: EPSeq(QQ, [], [1, 0])})
         assert growth_certificate_data(T) is None
+
+
+class TestProductLeak:
+    def test_leaking_product_is_an_internal_error(self, monkeypatch, capsys):
+        # a shift that forgets its zero padding makes T * T write row -1
+        from diagalg import cli
+        monkeypatch.setattr(EPSeq, "shift", lambda self, d: self)
+        T = Operator(GF(2), {-1: EPSeq(GF(2), [0], [1])})
+        with pytest.raises(InvariantViolated):
+            T * T
+        code = cli.main(["diag-ffield", "--text", "field F2\nband -1: pre=[0] per=[1]"])
+        assert code == 4
+        assert '"verdict": "internal_error"' in capsys.readouterr().out

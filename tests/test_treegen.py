@@ -1,11 +1,8 @@
+import math
+
 import pytest
 
-from diagalg.errors import (
-    FiniteFieldUnsupported,
-    InvariantViolated,
-    TruncationTooSmall,
-    VerifyFailed,
-)
+from diagalg.errors import InvariantViolated, TruncationTooSmall, VerifyFailed
 from diagalg.fields import GF, QQ
 from diagalg.linalg import Matrix, Subspace
 from diagalg import treegen
@@ -34,8 +31,6 @@ class TestBuild:
     def test_preconditions(self):
         with pytest.raises(TruncationTooSmall):
             treegen.build(2, 8)
-        with pytest.raises(FiniteFieldUnsupported):
-            treegen.build(1, 8, field=GF(5))
 
     def test_determinism_and_seeds(self):
         from diagalg.textio import format_tree
@@ -54,7 +49,7 @@ class TestBuild:
         for m in range(1, 4):
             span = Subspace.from_vectors(
                 QQ, 32, [[1 if i == k else 0 for i in range(32)] for k in range(m)])
-            for name in treegen._strings(m):
+            for name in treegen.strings(m):
                 assert span.intersection(d.nodes[name]).is_zero()
 
 
@@ -107,10 +102,10 @@ class TestIdempotentFamily:
 
     def test_refinement_identity(self):
         d = treegen.build(2, 16)
-        level1 = treegen.idempotent_family(d, 1, check_refinement=False)
-        level2 = treegen.idempotent_family(d, 2, check_refinement=False)
-        labels1 = treegen.level_labels(d, 1)
-        labels2 = treegen.level_labels(d, 2)
+        level1 = treegen.idempotent_family(d, 1)
+        level2 = treegen.idempotent_family(d, 2)
+        labels1 = treegen.strings(1)
+        labels2 = treegen.strings(2)
         by_label = dict(zip(labels2, level2))
         for label, op in zip(labels1, level1):
             assert op == by_label[label + "0"] + by_label[label + "1"]
@@ -119,7 +114,7 @@ class TestIdempotentFamily:
         d = treegen.build(1, 8)
         ops = treegen.idempotent_family(d, 1)
         from diagalg.operators import FiniteVector
-        for name, op in zip(treegen.level_labels(d, 1), ops):
+        for name, op in zip(treegen.strings(1), ops):
             for row in d.nodes[name].rows:
                 v = FiniteVector(QQ, dict(enumerate(row)))
                 assert op.apply(v) == v
@@ -150,7 +145,7 @@ class TestDiscreteness:
             rep = treegen.discreteness_witness(d)
             assert rep.injective and rep.rank == 2 ** n
             comps = d.leaf_components()
-            cols = [comps[leaf] for leaf in treegen._strings(n)]
+            cols = [comps[leaf] for leaf in treegen.strings(n)]
             assert sympy_rank([list(col) for col in zip(*cols)]) == 2 ** n
 
     def test_killer_idempotent(self):
@@ -292,3 +287,126 @@ class TestCertificatesFromNodes:
             treegen.discreteness_witness(split)
         with pytest.raises(VerifyFailed):
             treegen.idempotent_family(split, 1)
+
+
+def _verify_by_intersections(d):
+    """The structural clauses of verify with the direct sum and the window
+    condition checked by subspace intersections: (clause, witness), or None
+    when every clause holds."""
+    F, M = d.field, d.window
+    if d.nodes.get("") != Subspace.full(F, M):
+        return "root", ""
+    for m in range(d.depth + 1):
+        span = Subspace.from_vectors(
+            F, M, [[1 if i == k else 0 for i in range(M)] for k in range(m)])
+        for name in treegen.strings(m):
+            V = d.nodes.get(name)
+            if V is None:
+                return "missing-node", name
+            if m >= 1 and not span.intersection(V).is_zero():
+                return "a", name
+            if V.dim < M // (2 ** m) - m:
+                return "c", name
+            if m < d.depth:
+                left, right = d.nodes.get(name + "0"), d.nodes.get(name + "1")
+                if left is None or right is None:
+                    return "missing-node", name + "0/1"
+                if (left.dim + right.dim != V.dim
+                        or not left.intersection(right).is_zero()
+                        or left + right != V):
+                    return "b", name
+    return None
+
+
+def _integral(row):
+    den = math.lcm(*(x.denominator for x in row))
+    return [int(x * den) for x in row]
+
+
+def _span(M, vectors):
+    return Subspace.from_vectors(QQ, M, vectors)
+
+
+def _units(M, ks):
+    return [[1 if i == k else 0 for i in range(M)] for k in ks]
+
+
+def _complement(V, seed_vectors, M):
+    """seed_vectors completed by unit vectors to a complement of V."""
+    out = list(seed_vectors)
+    for unit in _units(M, range(M)):
+        if (V + _span(M, out + [unit])).dim == V.dim + len(out) + 1:
+            out.append(unit)
+    return _span(M, out)
+
+
+class TestVerifyOracle:
+    def _tampered(self, d, rng):
+        """Copies of d with one node replaced so that verify fails at
+        clause a, b or c, or at a random place."""
+        M = d.window
+        out = []
+        # clause a: a complement of V_1 that contains e_0
+        nodes = dict(d.nodes)
+        nodes["0"] = _complement(d.nodes["1"], _units(M, [0]), M)
+        out.append(nodes)
+        # clause b: children that overlap while their dimensions add up
+        nodes = dict(d.nodes)
+        nodes["1"] = _span(M, [d.nodes["0"].rows[0]] + list(d.nodes["1"].rows[1:]))
+        out.append(nodes)
+        # clause c: a direct split of the window with a one-dimensional side
+        nodes = dict(d.nodes)
+        rows0 = d.nodes["0"].rows
+        nodes["0"] = _span(M, rows0[-1:])
+        nodes["1"] = _span(M, list(rows0[:-1]) + list(d.nodes["1"].rows))
+        out.append(nodes)
+        # random replacements: combinations of the parent's rows, or of the
+        # whole window, of random dimension
+        names = [n for n in d.nodes if n]
+        for _ in range(6):
+            nodes = dict(d.nodes)
+            name = rng.choice(names)
+            if rng.random() < 0.7:
+                pool = list(d.nodes[name[:-1]].rows)
+            else:
+                pool = _units(M, range(M))
+            k = rng.randint(0, len(pool))
+            vecs = [[sum(rng.randint(-1, 1) * row[i] for row in pool) for i in range(M)]
+                    for _ in range(k)]
+            nodes[name] = _span(M, vecs)
+            out.append(nodes)
+        return [TreeDecomposition(QQ, d.depth, M, nodes, d.w) for nodes in out]
+
+    def test_matches_intersection_clauses(self):
+        import random
+        rng = random.Random(20)
+        seen = set()
+        for n, M, seed in [(1, 8, 0), (1, 16, 1), (2, 16, 2), (2, 32, 3), (3, 32, 4)]:
+            d = treegen.build(n, M, seed=seed)
+            for t in [d] + self._tampered(d, rng):
+                # the node bases cleared of denominators and read mod 7,
+                # where the clauses may come out differently
+                F7 = GF(7)
+                nodes7 = {name: Subspace.from_vectors(F7, M, [_integral(r) for r in V.rows])
+                          for name, V in t.nodes.items()}
+                t7 = TreeDecomposition(F7, n, M, nodes7, t.w)
+                for u in (t, t7):
+                    rep = treegen.verify(u, check_witness=False)
+                    expected = _verify_by_intersections(u)
+                    got = None if rep.ok else (rep.clause, rep.witness)
+                    assert got == expected
+                    seen.add(expected[0] if expected else None)
+        assert {None, "a", "b", "c"} <= seen
+
+    def test_verify_runs_no_intersection(self, monkeypatch):
+        d = treegen.build(3, 32, seed=1)
+        calls = []
+        real = Subspace.intersection
+
+        def counting(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(Subspace, "intersection", counting)
+        assert treegen.verify(d).ok
+        assert calls == []

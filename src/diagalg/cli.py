@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from . import acceptance, textio, treegen
 from .errors import AlgebraError, DoesNotSplitSimply, ParseError
@@ -313,7 +314,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def build_parser():
+    """The argument parser, built on first use: building it costs far more
+    than parsing one command line, and parsing leaves it unchanged."""
     parser = _Parser(
         prog="diagalg",
         description="exact diagonalizability workbench over Q and prime fields")

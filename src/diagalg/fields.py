@@ -65,6 +65,8 @@ class Rationals:
     """The field Q.  Scalars are Fraction values."""
 
     char = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def scalar(self, x):
         if isinstance(x, Fraction):
@@ -74,14 +76,6 @@ class Rationals:
         if isinstance(x, str):
             return self.parse_scalar(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -138,6 +132,8 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p
+        self.zero = 0
+        self.one = 1
 
     def scalar(self, x):
         if isinstance(x, int):
@@ -149,14 +145,6 @@ class PrimeField:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
             return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1 % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -702,22 +690,29 @@ def normalize_ep(pre, per):
     """Reduce an (preperiod, period) pair of values to the unique minimal
     form describing the same infinite sequence.  Works for any values with
     equality; used both for scalar sequences and for color sequences."""
-    pre = list(pre)
-    per = list(per)
+    pre = tuple(pre)
+    per = tuple(per)
     if not per:
         raise ValueError("period must be nonempty")
     # minimal cyclic period: the minimal period of a repeated word divides
     # its length
     m = len(per)
     for d in range(1, m + 1):
-        if m % d == 0 and all(per[i] == per[i % d] for i in range(m)):
+        if m % d == 0 and per[:d] * (m // d) == per:
             per = per[:d]
             break
-    # absorb preperiod tail entries that already lie on the cycle
-    while pre and pre[-1] == per[-1]:
-        pre.pop()
-        per = [per[-1]] + per[:-1]
-    return tuple(pre), tuple(per)
+    # absorb the preperiod tail entries that already lie on the cycle; each
+    # one absorbed rotates the period right by one
+    m = len(per)
+    n = len(pre)
+    k = 0
+    while k < n and pre[n - 1 - k] == per[(m - 1 - k) % m]:
+        k += 1
+    if k:
+        r = m - k % m
+        pre = pre[:n - k]
+        per = per[r:] + per[:r]
+    return pre, per
 
 
 class EPSeq:
@@ -736,16 +731,26 @@ class EPSeq:
         self.pre, self.per = normalize_ep(pre, per)
 
     @classmethod
+    def _of(cls, field, pre, per):
+        """Internal constructor for values that are already field scalars
+        (results of the field's own operations): no coercion, but the
+        normal form is still taken."""
+        s = object.__new__(cls)
+        s.field = field
+        s.pre, s.per = normalize_ep(pre, per)
+        return s
+
+    @classmethod
     def constant(cls, field, value):
         return cls(field, [], [value])
 
     @classmethod
     def zero(cls, field):
-        return cls(field, [], [0])
+        return cls._of(field, (), (field.zero,))
 
     @classmethod
     def one(cls, field):
-        return cls(field, [], [1])
+        return cls._of(field, (), (field.one,))
 
     def at(self, n):
         if n < 0:
@@ -754,6 +759,29 @@ class EPSeq:
             return self.pre[n]
         return self.per[(n - len(self.pre)) % len(self.per)]
 
+    def values(self, start, count):
+        """The ``count`` consecutive values from index ``start`` on, as a
+        list, with zeros at negative indices."""
+        out = []
+        if start < 0:
+            k = min(-start, count)
+            out = [self.field.zero] * k
+            start += k
+            count -= k
+        pre, per = self.pre, self.per
+        if start < len(pre):
+            chunk = pre[start:start + count]
+            out += chunk
+            start += len(chunk)
+            count -= len(chunk)
+        if count > 0:
+            m = len(per)
+            r = (start - len(pre)) % m
+            cycle = per[r:] + per[:r]
+            q, rest = divmod(count, m)
+            out += cycle * q + cycle[:rest]
+        return out
+
     def is_zero(self):
         return not self.pre and self.per == (self.field.zero,)
 
@@ -761,22 +789,21 @@ class EPSeq:
         return self.per == (self.field.zero,)
 
     def period_nowhere_zero(self):
-        return all(c != self.field.zero for c in self.per)
+        return all(self.per)
 
     def value_set(self):
         return set(self.pre) | set(self.per)
 
     def support_in_pre(self):
         """Indices below the preperiod length with a nonzero value."""
-        return [i for i, c in enumerate(self.pre) if c != self.field.zero]
+        return [i for i, c in enumerate(self.pre) if c]
 
     def _binop(self, other, op):
         F = check_same_field(self.field, other.field)
         k = max(len(self.pre), len(other.pre))
-        m = lcm(len(self.per), len(other.per))
-        pre = [op(self.at(i), other.at(i)) for i in range(k)]
-        per = [op(self.at(k + i), other.at(k + i)) for i in range(m)]
-        return EPSeq(F, pre, per)
+        n = k + lcm(len(self.per), len(other.per))
+        vals = list(map(op, self.values(0, n), other.values(0, n)))
+        return EPSeq._of(F, vals[:k], vals[k:])
 
     def __add__(self, other):
         return self._binop(other, self.field.add)
@@ -785,32 +812,24 @@ class EPSeq:
         return self._binop(other, self.field.sub)
 
     def __mul__(self, other):
+        F = self.field
         if isinstance(other, EPSeq):
-            return self._binop(other, self.field.mul)
-        c = self.field.scalar(other)
-        return EPSeq(
-            self.field,
-            [self.field.mul(c, v) for v in self.pre],
-            [self.field.mul(c, v) for v in self.per],
-        )
+            return self._binop(other, F.mul)
+        c = F.scalar(other)
+        return EPSeq._of(F, [F.mul(c, v) for v in self.pre], [F.mul(c, v) for v in self.per])
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return EPSeq(self.field, [self.field.neg(v) for v in self.pre],
-                     [self.field.neg(v) for v in self.per])
+        F = self.field
+        return EPSeq._of(F, [F.neg(v) for v in self.pre], [F.neg(v) for v in self.per])
 
     def shift(self, d):
-        """Index shift.  For d >= 0 the raw shift n -> value at n+d; for
+        """Index shift n -> value at n+d.  For d >= 0 the raw shift; for
         d < 0 the prefix extension that pads |d| zeros in front."""
-        if d >= 0:
-            k = max(0, len(self.pre) - d)
-            pre = [self.at(i + d) for i in range(k)]
-            per_off = d + k
-            per = [self.at(per_off + i) for i in range(len(self.per))]
-            return EPSeq(self.field, pre, per)
-        pad = [self.field.zero] * (-d)
-        return EPSeq(self.field, pad + list(self.pre), list(self.per))
+        k = max(0, len(self.pre) - d)
+        vals = self.values(d, k + len(self.per))
+        return EPSeq._of(self.field, vals[:k], vals[k:])
 
     def __eq__(self, other):
         return (

@@ -16,6 +16,9 @@ vectors with an explicit non-torsion growth certificate, and membership in
 the closure of the set of diagonalizable operators.
 """
 
+from math import lcm
+from operator import add, mul
+
 from .errors import (
     DuplicateLambda,
     FieldTooSmall,
@@ -45,12 +48,21 @@ class FiniteVector:
         self.entries = clean
 
     @classmethod
+    def _of(cls, field, entries):
+        """Internal constructor for a dict from nonnegative int indices to
+        nonzero field scalars: no coercion and no checks."""
+        v = object.__new__(cls)
+        v.field = field
+        v.entries = entries
+        return v
+
+    @classmethod
     def basis(cls, field, i):
         return cls(field, {i: 1})
 
     @classmethod
     def zero(cls, field):
-        return cls(field, {})
+        return cls._of(field, {})
 
     def is_zero(self):
         return not self.entries
@@ -71,8 +83,12 @@ class FiniteVector:
         F = check_same_field(self.field, other.field)
         out = dict(self.entries)
         for i, x in other.entries.items():
-            out[i] = F.add(out.get(i, F.zero), x)
-        return FiniteVector(F, out)
+            y = F.add(out.get(i, F.zero), x)
+            if y:
+                out[i] = y
+            else:
+                del out[i]
+        return FiniteVector._of(F, out)
 
     def __sub__(self, other):
         return self + other.scale(self.field.neg(self.field.one))
@@ -80,7 +96,9 @@ class FiniteVector:
     def scale(self, c):
         F = self.field
         c = F.scalar(c)
-        return FiniteVector(F, {i: F.mul(c, x) for i, x in self.entries.items()})
+        if not c:
+            return FiniteVector._of(F, {})
+        return FiniteVector._of(F, {i: F.mul(c, x) for i, x in self.entries.items()})
 
     def __eq__(self, other):
         return (
@@ -118,20 +136,19 @@ class Operator:
             for d, cols in by_offset.items():
                 width = max(cols) + 1
                 base = merged.get(d, EPSeq.zero(field))
-                pre = [base.at(k) for k in range(max(width, len(base.pre)))]
+                k = max(width, len(base.pre))
+                pre = base.values(0, k)
                 for j, v in cols.items():
                     pre[j] = field.add(pre[j], v)
-                per_start = len(pre)
-                per = [base.at(per_start + k) for k in range(len(base.per))]
-                seq = EPSeq(field, pre, per)
+                seq = EPSeq._of(field, pre, base.values(k, len(base.per)))
                 if seq.is_zero():
                     merged.pop(d, None)
                 else:
                     merged[d] = seq
         for d, seq in merged.items():
             if d < 0:
-                for j in range(-d):
-                    if seq.at(j) != field.zero:
+                for j, c in enumerate(seq.values(0, -d)):
+                    if c:
                         raise NegativeIndexLeak(
                             f"band {d} writes row {j + d} from column {j}"
                         )
@@ -202,7 +219,7 @@ class Operator:
             if d == 0:
                 continue
             for j in seq.support_in_pre():
-                out.append((j + d, j, seq.at(j)))
+                out.append((j + d, j, seq.pre[j]))
         return out
 
     def __eq__(self, other):
@@ -241,15 +258,35 @@ class Operator:
         if not isinstance(other, Operator):
             return self.scale(other)
         F = check_same_field(self.field, other.field)
-        bands = {}
+        p, zero = F.char, F.zero
+        pairs = {}
         for d1, a in self.bands.items():
             for d2, b in other.bands.items():
-                # entry (j+d1+d2, j) picks up a(j+d2) * b(j)
-                term = a.shift(d2) * b
-                if term.is_zero():
-                    continue
-                d = d1 + d2
-                bands[d] = bands[d] + term if d in bands else term
+                pairs.setdefault(d1 + d2, []).append((a, d2, b))
+        bands = {}
+        for d, terms in pairs.items():
+            # entry (j+d, j) is the sum of a(j+d2) * b(j) over the terms; each
+            # is periodic from index lp on with a period dividing m, so one
+            # pass over lp + m indices gives the band
+            lp = max(max(len(a.pre) - d2, len(b.pre)) for a, d2, b in terms)
+            m = lcm(*(len(s.per) for a, _, b in terms for s in (a, b)))
+            n = lp + m
+            acc = None
+            for a, d2, b in terms:
+                av, bv = a.values(d2, n), b.values(0, n)
+                if p:
+                    # int sums, reduced once below
+                    prod = list(map(mul, av, bv))
+                    acc = prod if acc is None else list(map(add, acc, prod))
+                else:
+                    # Fraction arithmetic is costly, so zero products and
+                    # sums are skipped; the shared zero they leave also
+                    # makes the normal-form comparisons identity checks
+                    prod = [x * y if x and y else zero for x, y in zip(av, bv)]
+                    acc = prod if acc is None else [u + v if v else u for u, v in zip(acc, prod)]
+            if p:
+                acc = [x % p for x in acc]
+            bands[d] = EPSeq._of(F, acc[:lp], acc[lp:])
         try:
             return Operator(F, bands)
         except NegativeIndexLeak as exc:
@@ -276,15 +313,21 @@ class Operator:
 
     def apply(self, v):
         F = check_same_field(self.field, v.field)
+        entries = v.entries.items()
         acc = {}
-        for j, x in v.entries.items():
-            for d, seq in self.bands.items():
-                c = seq.at(j)
-                if c == F.zero:
-                    continue
-                i = j + d
-                acc[i] = F.add(acc.get(i, F.zero), F.mul(c, x))
-        return FiniteVector(F, acc)
+        for d, seq in self.bands.items():
+            pre, per = seq.pre, seq.per
+            lp, m = len(pre), len(per)
+            for j, x in entries:
+                c = pre[j] if j < lp else per[(j - lp) % m]
+                if c:
+                    i = j + d
+                    acc[i] = acc[i] + c * x if i in acc else c * x
+        # sums over F_p are reduced once, at the end
+        p = F.char
+        if p:
+            return FiniteVector._of(F, {i: r for i, x in acc.items() if (r := x % p)})
+        return FiniteVector._of(F, {i: x for i, x in acc.items() if x})
 
     def truncate(self, n):
         """The n x n upper-left window.  Truncation is a window, not a ring

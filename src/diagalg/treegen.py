@@ -203,7 +203,9 @@ def verify(d, check_witness=True):
     they span V."""
     F = d.field
     M = d.window
-    if d.nodes.get("") != Subspace.full(F, M):
+    root = d.nodes.get("")
+    # an RREF basis of M rows in K^M spans all of K^M
+    if root is None or root.ambient != M or root.dim != M:
         return VerifyReport(False, "root", "")
     for m in range(d.depth + 1):
         for name in strings(m):

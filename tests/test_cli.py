@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -301,3 +305,37 @@ class TestCertifyOnce:
             code, rep = run_cli(capsys, "summable", "--text", doc)
             assert code == 0 and rep["sums_to_one"] is to_one
             assert len(calls) == 1
+
+
+class TestParserReuse:
+    # interleaved commands, with usage errors (exit 3) before valid calls
+    # and a defaulted --depth after an explicit one
+    CALLS = [
+        ["diag-finite", "--field", "Q", "--text", "[[0,1],[1,0]]"],
+        ["torsion", "--depth", "2", "--text", "field Q\nband 1: pre=[1,1,1] per=[0]\nvec 0:1"],
+        ["diag-finite", "--text", "[[1]]"],
+        ["torsion", "--text", "field Q\nband 1: pre=[1,1,1] per=[0]\nvec 0:1"],
+        ["tree", "build", "--depth", "1", "--truncate", "8"],
+        ["no-such-command"],
+        ["diag-finite", "--field", "Fp:2", "--text", "[[0,1],[1,0]]"],
+        ["closure", "--text", "field Q\nband 1: pre=[1] per=[0]\nvec 0:1\nvec 1:1"],
+        ["tree", "verify", "--depth", "x"],
+        ["spec0", "--field", "F3", "--text", "3"],
+        ["diag-ffield", "--text", "field F2\nband 1: pre=[] per=[1]"],
+    ]
+
+    def test_in_process_calls_match_fresh_processes(self, capsys):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        codes = []
+        for argv in self.CALLS:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr().out
+            fresh = subprocess.run([sys.executable, "-m", "diagalg.cli", *argv],
+                                   capture_output=True, text=True, env=env, timeout=120)
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
+            codes.append(code)
+        assert codes == [0, 2, 3, 0, 0, 3, 1, 1, 3, 0, 1]

@@ -431,9 +431,12 @@ class TestGrowthCertificate:
 
 class TestProductLeak:
     def test_leaking_product_is_an_internal_error(self, monkeypatch, capsys):
-        # a shift that forgets its zero padding makes T * T write row -1
+        # a windowed read that forgets the zero padding at negative indices
+        # makes T * T write row -1
         from diagalg import cli
-        monkeypatch.setattr(EPSeq, "shift", lambda self, d: self)
+        values = EPSeq.values
+        monkeypatch.setattr(EPSeq, "values",
+                            lambda self, start, count: values(self, max(start, 0), count))
         T = Operator(GF(2), {-1: EPSeq(GF(2), [0], [1])})
         with pytest.raises(InvariantViolated):
             T * T

@@ -76,6 +76,20 @@ class TestVerify:
         rep = treegen.verify(TreeDecomposition(QQ, 1, 8, nodes, d.w))
         assert not rep.ok and rep.clause in ("root", "b")
 
+    def test_root_one_dimension_short(self):
+        d = treegen.build(1, 8)
+        nodes = dict(d.nodes)
+        nodes[""] = Subspace.from_vectors(QQ, 8, Matrix.identity(QQ, 8).rows[1:])
+        assert nodes[""].dim == 7
+        rep = treegen.verify(TreeDecomposition(QQ, 1, 8, nodes, d.w))
+        assert not rep.ok and rep.clause == "root"
+
+    def test_missing_root(self):
+        d = treegen.build(1, 8)
+        nodes = {name: V for name, V in d.nodes.items() if name}
+        rep = treegen.verify(TreeDecomposition(QQ, 1, 8, nodes, d.w))
+        assert not rep.ok and rep.clause == "root" and rep.witness == ""
+
     def test_dimension_floor(self):
         for n, M in [(1, 8), (2, 16), (3, 32)]:
             d = treegen.build(n, M)

@@ -3,9 +3,12 @@
 Matrices are immutable (tuples of tuples of scalars); subspaces are stored
 as reduced-row-echelon bases, which makes subspace equality a tuple
 comparison.  Mod-p row reduction and multiplication go through the flat
-int kernels in ``kernels``; rational arithmetic stays on Fraction.  Sparse
-incremental reduction (Krylov chains, basis completion) goes through one
-``Echelon`` type.
+int kernels in ``kernels``.  Over Q, row reduction and the Krylov chains of
+minimal polynomials are fraction-free: they run on Python ints (rows
+cleared of denominators, the matrix scaled by its common denominator) and
+build Fractions only for their results.  Other sparse incremental
+reduction (Krylov chains over F_p and on infinite operators, basis
+completion) goes through one ``Echelon`` type.
 
 The diagonalization entry points implement the standard criteria: an
 operator on a finite-dimensional space is diagonalizable iff its minimal
@@ -14,13 +17,16 @@ diagonalizable operators is simultaneously diagonalizable by iterated
 eigenspace refinement.
 """
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from . import kernels
 from .errors import InvariantViolated, NotInvertible, NotSquare, SizeMismatch
-from .fields import Polynomial, check_same_field, poly_splits_simply
+from .fields import QQ, Polynomial, check_same_field, poly_splits_simply
 
 
 def _rref_generic(rows, field, pivot_limit=None):
-    """RREF by fraction-free-ish Gauss-Jordan with exact scalars.
+    """RREF by Gauss-Jordan with exact scalars.
 
     pivot_limit restricts pivot search to the first columns (for solving
     augmented systems).  Returns (rows, pivots) with rows a list of lists.
@@ -62,12 +68,77 @@ def _rref_generic(rows, field, pivot_limit=None):
     return m, pivots
 
 
+def _primitive(row):
+    """An integer row divided by the gcd of its entries (unchanged if zero)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _integer_row(row):
+    """A rational row times the lcm of its denominators, made primitive: a
+    row of integers passes straight through to the content check."""
+    den = lcm(*[x.denominator for x in row])
+    if den == 1:
+        return _primitive([x.numerator for x in row])
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
+
+
+def _rref_rational(rows, pivot_limit=None):
+    """RREF over Q by Gauss-Jordan on Python ints.
+
+    A row scale leaves the RREF unchanged, so each row is cleared of its
+    denominators, and each updated row is divided by its content.  Every
+    integer row stays a nonzero multiple of the row a Fraction elimination
+    would hold, so the pivots, the row swaps and the final rows are the
+    same.  Fractions are built once, at the output, and only for nonzero
+    entries.
+    """
+    m = [_integer_row(row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0])
+    limit = ncols if pivot_limit is None else pivot_limit
+    pivots = []
+    r = 0
+    for c in range(limit):
+        pr = r
+        while pr < nrows and not m[pr][c]:
+            pr += 1
+        if pr == nrows:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        row_r = m[r]
+        p = row_r[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if not f or i == r:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            m[i] = _primitive([a * x - b * y for x, y in zip(m[i], row_r)])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    zero = QQ.zero
+    out = []
+    for i, row in enumerate(m):
+        d = row[pivots[i]] if i < len(pivots) else 1
+        if d == 1:
+            out.append([Fraction(x) if x else zero for x in row])
+        else:
+            out.append([Fraction(x, d) if x else zero for x in row])
+    return out, pivots
+
+
 def rref_rows(rows, field, pivot_limit=None):
-    """RREF of a list of row vectors, dispatching to the mod-p kernels for
-    full-width reductions over prime fields."""
+    """RREF of a list of row vectors: the mod-p kernels for full-width
+    reductions over prime fields, integer Gauss-Jordan over Q."""
     if not rows:
         return [], []
-    if field.char > 0 and pivot_limit is None:
+    if field.char == 0:
+        return _rref_rational(rows, pivot_limit)
+    if pivot_limit is None:
         nrows, ncols = len(rows), len(rows[0])
         flat = [x for row in rows for x in row]
         out, pivots = kernels.mat_rref_mod(flat, nrows, ncols, field.char)
@@ -268,10 +339,6 @@ class Matrix:
             if i != j
         )
 
-    def rref(self):
-        rows, pivots = rref_rows(self.rows, self.field)
-        return (Matrix._of(self.field, rows) if rows else self), pivots
-
     def rank(self):
         if self.nrows == 0 or self.ncols == 0:
             return 0
@@ -339,55 +406,10 @@ class Matrix:
             raise NotInvertible("singular matrix")
         return X
 
-    def charpoly(self):
-        """Characteristic polynomial det(xI - A) by the division-free
-        Berkowitz recursion, monic, coefficients lowest degree first."""
-        if not self.is_square():
-            raise NotSquare("charpoly of a non-square matrix")
-        F = self.field
-        n = self.nrows
-        if n == 0:
-            return Polynomial.one(F)
-        vec = [F.one, F.neg(self.rows[0][0])]
-        for k in range(2, n + 1):
-            a = self.rows[k - 1][k - 1]
-            R = self.rows[k - 1][:k - 1]
-            C = [self.rows[i][k - 1] for i in range(k - 1)]
-            B = [row[:k - 1] for row in self.rows[:k - 1]]
-            items = [F.one, F.neg(a)]
-            v = C
-            for _ in range(k - 1):
-                dot = F.zero
-                for x, y in zip(R, v):
-                    dot = F.add(dot, F.mul(x, y))
-                items.append(F.neg(dot))
-                if len(items) == k + 1:
-                    break
-                v = [
-                    _dot(F, Brow, v)
-                    for Brow in B
-                ]
-            new = []
-            for i in range(k + 1):
-                acc = F.zero
-                for j in range(len(vec)):
-                    if 0 <= i - j <= k:
-                        acc = F.add(acc, F.mul(items[i - j], vec[j]))
-                new.append(acc)
-            vec = new
-        return Polynomial(F, list(reversed(vec)))
-
     def __repr__(self):
         fmt = self.field.format_scalar
         body = ",".join("[" + ",".join(fmt(x) for x in row) + "]" for row in self.rows)
         return f"[{body}]"
-
-
-def _dot(field, xs, ys):
-    acc = field.zero
-    for x, y in zip(xs, ys):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
 
 
 class Subspace:
@@ -564,19 +586,79 @@ def _local_annihilator(T, start):
         v = T.matvec(v)
 
 
+def _integer_annihilator(A, start):
+    """Monic minimal polynomial, as ints lowest degree first, of the Krylov
+    chain of e_start under a square integer matrix A (int rows).
+
+    Fraction-free tracked elimination: each chain vector is reduced against
+    the earlier residues by integer row combinations that carry its
+    coefficients over the chain, and each combination is divided by its
+    content.  The first zero residue is a relation sum c_k A^k e_start = 0
+    of least degree, so its coefficients are a multiple of the annihilator;
+    that annihilator divides the characteristic polynomial, which is monic
+    over Z, so by Gauss's lemma dividing by the leading c_d is exact.
+    """
+    v = [0] * len(A)
+    v[start] = 1
+    basis = []  # (pivot, residue, its coefficients over the chain)
+    while True:
+        w = v
+        rep = [0] * len(basis) + [1]
+        for piv, row, coeffs in basis:
+            f = w[piv]
+            if not f:
+                continue
+            p = row[piv]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            w = [a * x - b * y for x, y in zip(w, row)]
+            rep = [a * x - b * y for x, y in zip(rep, coeffs)] + [a * x for x in rep[len(coeffs):]]
+            g = gcd(gcd(*w), *rep)
+            if g > 1:
+                w = [x // g for x in w]
+                rep = [x // g for x in rep]
+        piv = next((j for j, x in enumerate(w) if x), None)
+        if piv is None:
+            lead = rep[-1]
+            return [x // lead for x in rep]
+        basis.append((piv, w, rep))
+        v = [sum([a * x for a, x in zip(row, v) if x]) for row in A]
+
+
+def krylov_annihilators(T):
+    """Yield, for i = 0, 1, ..., n-1, the monic minimal polynomial of the
+    Krylov chain e_i, T e_i, T^2 e_i, ... of a square matrix T.
+
+    Over Q the chains run on the integer matrix A = delta*T, delta the least
+    common denominator of T's entries: if sum c_k x^k (degree d, monic) is
+    the annihilator of e_i under A, then sum c_k delta^(k-d) x^k is its
+    annihilator under T.
+    """
+    F = T.field
+    n = T.nrows
+    if F.char > 0:
+        for i in range(n):
+            yield _local_annihilator(T, i)
+        return
+    delta = lcm(*[x.denominator for row in T.rows for x in row])
+    A = [[x.numerator * (delta // x.denominator) for x in row] for row in T.rows]
+    for i in range(n):
+        coeffs = _integer_annihilator(A, i)
+        d = len(coeffs) - 1
+        yield Polynomial(F, [Fraction(c, delta ** (d - k)) for k, c in enumerate(coeffs)])
+
+
 def minimal_polynomial(T):
     """Least-degree monic mu with mu(T) = 0, as the lcm over standard basis
     vectors of their Krylov annihilators.  Divides the characteristic
     polynomial."""
     if not T.is_square():
         raise NotSquare("minimal polynomial of a non-square matrix")
-    F = T.field
-    n = T.nrows
-    mu = Polynomial.one(F)
-    for i in range(n):
-        if mu.degree >= n:
+    mu = Polynomial.one(T.field)
+    for ann in krylov_annihilators(T):
+        mu = mu.lcm(ann)
+        if mu.degree >= T.nrows:
             break
-        mu = mu.lcm(_local_annihilator(T, i))
     return mu
 
 

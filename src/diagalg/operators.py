@@ -28,7 +28,14 @@ from .errors import (
     WrongField,
 )
 from .fields import EPSeq, Polynomial, check_same_field, poly_splits_simply
-from .linalg import Echelon, Matrix, Subspace, diagonalize_finite, rref_rows
+from .linalg import (
+    Echelon,
+    Matrix,
+    Subspace,
+    diagonalize_finite,
+    krylov_annihilators,
+    rref_rows,
+)
 
 
 class FiniteVector:
@@ -585,7 +592,7 @@ def closure_membership(T, window, depth=64):
                 "in_closure", semi_decided=False,
                 detail=f"diagonalizable on the {len(basis)}-dimensional torsion part",
             )
-        witness, ann = _nonsplit_witness(T, basis, depth)
+        witness, ann = _nonsplit_witness(T, basis, X, depth)
         return ClosureReport(
             "not_in_closure", semi_decided=False,
             witness=witness, witness_annihilator=ann,
@@ -608,15 +615,23 @@ def closure_membership(T, window, depth=64):
     )
 
 
-def _nonsplit_witness(T, basis_rows, depth):
-    """A vector in the torsion span whose annihilator fails the split-simply
-    test; exists whenever T is not diagonalizable there."""
+def _nonsplit_witness(T, basis_rows, X, depth):
+    """A basis row of the torsion span whose annihilator fails the
+    split-simply test; one exists whenever T is not diagonalizable there.
+
+    Column j of X holds the coordinates of T applied to row j, so row i has
+    the annihilator of e_i under the finite matrix X, and the Krylov chains
+    of X find it without applying T.  As in ``krylov_torsion``, only
+    annihilators of degree at most ``depth`` count, and the witness is
+    certified by applying its annihilator with T.
+    """
     F = T.field
-    for row in basis_rows:
-        v = FiniteVector(F, {i: x for i, x in enumerate(row)})
-        rep = krylov_torsion(T, v, depth)
-        if rep.outcome == "torsion" and not poly_splits_simply(rep.annihilator).splits:
-            return v, rep.annihilator
+    for row, ann in zip(basis_rows, krylov_annihilators(X)):
+        if ann.degree <= depth and not poly_splits_simply(ann).splits:
+            v = FiniteVector(F, {i: x for i, x in enumerate(row)})
+            if not annihilator_applies(T, v, ann):
+                raise InvariantViolated(f"Krylov relation {ann} does not annihilate {v}")
+            return v, ann
     raise InvariantViolated("no witness in a non-diagonalizable torsion part")
 
 

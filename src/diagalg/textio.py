@@ -10,11 +10,11 @@ reports the offending line on failure.
 
 import re
 
-from .errors import ParseError
+from .errors import ParseError, SizeMismatch
 from .fields import EPSeq, GF, Polynomial, QQ
 from .funcalg import FiniteAlgebra, SetMap
 from .idempotents import ExplicitFamily, PartitionFamily, PatternFamily
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, rref_rows
 from .operators import FiniteVector, Operator
 from .treegen import TreeDecomposition
 
@@ -86,15 +86,19 @@ def format_polynomial(poly):
     return format_scalar_list(poly.field, list(poly.coeffs))
 
 
-def parse_matrix(field, text):
+def _parse_rows(field, text):
+    """The rows of a matrix literal [[...],...], as lists of field scalars."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError(f"expected a matrix [[...],...], got {text!r}")
     inner = text[1:-1].strip()
     if not inner:
-        return Matrix(field, [])
-    rows = [parse_scalar_list(field, part) for part in _split_top(inner)]
-    return Matrix(field, rows)
+        return []
+    return [parse_scalar_list(field, part) for part in _split_top(inner)]
+
+
+def parse_matrix(field, text):
+    return Matrix(field, _parse_rows(field, text))
 
 
 def format_matrix(M):
@@ -390,10 +394,14 @@ def parse_tree(text, verify_on_load=True):
             w = parse_scalar_list(field, line[2:].strip())
             continue
         if line.startswith("node"):
-            _, label, rows = line.split(" ", 2)
+            _, label, text_rows = line.split(" ", 2)
             name = "" if label == "." else label
-            M = parse_matrix(field, rows)
-            nodes[name] = Subspace.from_vectors(field, header[1], [list(r) for r in M.rows])
+            # parsed scalars are field scalars already: reduce them as they are
+            rows = _parse_rows(field, text_rows)
+            if any(len(row) != header[1] for row in rows):
+                raise SizeMismatch("vector length differs from ambient dimension")
+            reduced, pivots = rref_rows(rows, field)
+            nodes[name] = Subspace(field, header[1], reduced[: len(pivots)])
             continue
         raise ParseError(f"unrecognized tree line {line!r}", line=lineno)
     if header is None or w is None:

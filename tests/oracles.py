@@ -79,6 +79,57 @@ def sympy_charpoly_coeffs(M):
     return [Fraction(str(c)) for c in coeffs]
 
 
+def sympy_poly_at(coeffs_low_first, M):
+    """A polynomial (coefficients lowest degree first) evaluated at the
+    square matrix M by Horner, as a sympy matrix."""
+    A = sym(M)
+    acc = sympy.zeros(A.rows, A.cols)
+    for c in reversed(coeffs_low_first):
+        acc = acc * A + sympy.Rational(c) * sympy.eye(A.rows)
+    return acc
+
+
+def sympy_is_minimal_polynomial(coeffs_low_first, M):
+    """True iff the monic polynomial kills M and no proper monic divisor
+    does: mu(M) = 0 and (mu / f)(M) != 0 for each irreducible factor f."""
+    x = sympy.Symbol("x")
+    mu = sympy.Poly(list(reversed([sympy.Rational(c) for c in coeffs_low_first])), x)
+    if mu.LC() != 1 or not sympy_poly_at(coeffs_low_first, M).is_zero_matrix:
+        return False
+    _, factors = mu.factor_list()
+    for f, _mult in factors:
+        quotient = mu.quo(f.monic())
+        if sympy_poly_at(quotient.all_coeffs()[::-1], M).is_zero_matrix:
+            return False
+    return True
+
+
+def conjugated(blocks, P):
+    """P J P^-1 as rows of Fractions, J block diagonal: ("jordan", lam, k)
+    is a k x k Jordan block at lam, ("companion", c) the companion matrix
+    of the monic polynomial with coefficients c (lowest first, leading 1
+    omitted).  P must be invertible of the total size."""
+    parts = []
+    for block in blocks:
+        if block[0] == "jordan":
+            _, lam, k = block
+            J = sympy.eye(k) * sympy.Rational(lam)
+            for i in range(k - 1):
+                J[i, i + 1] = 1
+        else:
+            c = block[1]
+            k = len(c)
+            J = sympy.zeros(k, k)
+            for i in range(1, k):
+                J[i, i - 1] = 1
+            for i in range(k):
+                J[i, k - 1] = -sympy.Rational(c[i])
+        parts.append(J)
+    Pm = sym(P)
+    T = Pm * sympy.diag(*parts) * Pm.inv()
+    return [[Fraction(str(T[i, j])) for j in range(T.cols)] for i in range(T.rows)]
+
+
 def sympy_is_diagonalizable(M):
     return sym(M).is_diagonalizable()
 
@@ -178,6 +229,31 @@ def plain_solve(A, b, p=None):
     for r, c in enumerate(pivots):
         x[c] = m[r][k]
     return x
+
+
+def fraction_rref(rows, pivot_limit=None):
+    """Gauss-Jordan on Fractions with every row kept: (rows, pivots), the
+    pivot rows first.  The pivot of each column is the first nonzero entry
+    at or below the current row; pivot search stops at column pivot_limit
+    (augmented systems)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    limit = ncols if pivot_limit is None else pivot_limit
+    pivots = []
+    for c in range(limit):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p = m[r][c]
+        m[r] = [x / p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
 
 
 def modp_rank(rows, p):

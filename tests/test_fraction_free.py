@@ -1,0 +1,189 @@
+"""Differential tests of the fraction-free linear algebra over Q.
+
+``rref_rows`` over Q runs Gauss-Jordan on integer rows, and
+``minimal_polynomial`` over Q runs its Krylov chains on the integer matrix
+delta*T.  Both are checked against independent references: a plain
+Gauss-Jordan on Fractions (``oracles.fraction_rref``) and sympy.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from diagalg.errors import NotInvertible
+from diagalg.fields import QQ, Polynomial
+from diagalg.linalg import Matrix, minimal_polynomial, rref_rows
+
+from oracles import conjugated, fraction_rref, sympy_is_minimal_polynomial
+
+ff_settings = settings(max_examples=80, deadline=None, database=None)
+
+# zeros, small integers, and fractions with denominators up to 10^6
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-4, 4)),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def matrices(draw, nrows=None, ncols=None):
+    """Tall, wide and square rational matrices, with zero rows, scaled
+    duplicate rows and sums of rows mixed in (in shuffled order)."""
+    nrows = draw(st.integers(1, 7)) if nrows is None else nrows
+    ncols = draw(st.integers(1, 7)) if ncols is None else ncols
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    extra = draw(st.lists(st.tuples(st.sampled_from(["zero", "dup", "sum"]),
+                                    st.integers(0, nrows - 1), st.integers(0, nrows - 1),
+                                    st.sampled_from([-3, -1, 2, Fraction(1, 7)])),
+                          max_size=3))
+    for kind, i, j, s in extra:
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "dup":
+            rows.append([s * x for x in rows[i]])
+        else:
+            rows.append([a + s * b for a, b in zip(rows[i], rows[j])])
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order]
+
+
+def matvec(rows, x):
+    return [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+
+
+class TestRrefRows:
+    @ff_settings
+    @given(matrices())
+    def test_matches_fraction_gauss_jordan(self, rows):
+        out, pivots = rref_rows(rows, QQ)
+        ref, ref_pivots = fraction_rref(rows)
+        assert pivots == ref_pivots
+        assert out == ref
+        assert all(type(x) is Fraction for row in out for x in row)
+
+    @ff_settings
+    @given(matrices(), st.data())
+    def test_solve(self, rows, data):
+        ncols = len(rows[0])
+        if data.draw(st.booleans()):
+            b = matvec(rows, data.draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+        else:
+            b = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+        ref, pivots = fraction_rref([r + [x] for r, x in zip(rows, b)], pivot_limit=ncols)
+        x = Matrix(QQ, rows).solve(b)
+        if any(row[-1] for row in ref[len(pivots):]):
+            assert x is None
+            return
+        expected = [Fraction(0)] * ncols
+        for r, c in enumerate(pivots):
+            expected[c] = ref[r][-1]
+        assert x == expected and matvec(rows, x) == b
+
+    @ff_settings
+    @given(matrices(), st.integers(1, 3), st.data())
+    def test_solve_matrix(self, rows, k, data):
+        ncols = len(rows[0])
+        cols = []
+        for _ in range(k):
+            if data.draw(st.booleans()):
+                cols.append(matvec(rows, data.draw(
+                    st.lists(entries, min_size=ncols, max_size=ncols))))
+            else:
+                cols.append(data.draw(st.lists(entries, min_size=len(rows),
+                                               max_size=len(rows))))
+        B = [list(r) for r in zip(*cols)]
+        ref, pivots = fraction_rref([r + b for r, b in zip(rows, B)], pivot_limit=ncols)
+        X = Matrix(QQ, rows).solve_matrix(Matrix(QQ, B))
+        if any(any(row[ncols:]) for row in ref[len(pivots):]):
+            assert X is None
+            return
+        expected = [[Fraction(0)] * k for _ in range(ncols)]
+        for r, c in enumerate(pivots):
+            expected[c] = ref[r][ncols:]
+        assert X == Matrix(QQ, expected)
+
+    @ff_settings
+    @given(st.integers(1, 6).flatmap(lambda n: matrices(nrows=n, ncols=n)))
+    def test_inverse(self, rows):
+        n = len(rows[0])
+        rows = rows[:n]
+        identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        ref, pivots = fraction_rref([r + e for r, e in zip(rows, identity)], pivot_limit=n)
+        A = Matrix(QQ, rows)
+        if pivots != list(range(n)):
+            with pytest.raises(NotInvertible):
+                A.inverse()
+            return
+        assert A.inverse() == Matrix(QQ, [row[n:] for row in ref])
+
+    def test_integer_matrix_needs_no_fraction_multiplication(self, monkeypatch):
+        rng = random.Random(12)
+        rows = [[Fraction(rng.randint(-9, 9)) for _ in range(12)] for _ in range(12)]
+        expected = fraction_rref(rows)
+        calls = []
+        for name in ("__mul__", "__rmul__"):
+            real = getattr(Fraction, name)
+
+            def counted(a, b, real=real):
+                calls.append(1)
+                return real(a, b)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        assert Fraction(2, 3) * 3 == 2 and calls  # the counter sees products
+        calls.clear()
+        out = rref_rows(rows, QQ)
+        assert not calls
+        monkeypatch.undo()
+        assert out == expected and len(out[1]) == 12
+
+
+# Jordan blocks at small rational eigenvalues and companion blocks of
+# irreducible quadratics; sizes add up to at most 6
+blocks = st.lists(
+    st.one_of(
+        st.tuples(st.just("jordan"), st.sampled_from([0, 1, -2, Fraction(1, 3)]),
+                  st.integers(1, 3)),
+        st.tuples(st.just("companion"), st.sampled_from([[-2, 0], [1, 1], [3, -1]])),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def _size(block):
+    return block[2] if block[0] == "jordan" else len(block[1])
+
+
+class TestMinimalPolynomial:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(blocks, st.data())
+    def test_against_sympy_on_conjugated_matrices(self, bs, data):
+        n = sum(_size(b) for b in bs)
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        while True:
+            P = [[Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 7, 10**6]))
+                  for _ in range(n)] for _ in range(n)]
+            if len(fraction_rref(P)[1]) == n:
+                break
+        T = conjugated(bs, P)
+        mu = minimal_polynomial(Matrix(QQ, T))
+        assert mu.is_monic()
+        assert sympy_is_minimal_polynomial(list(mu.coeffs), T)
+
+    def test_large_common_denominator(self):
+        T = conjugated([("jordan", 2, 2), ("jordan", Fraction(-1, 5), 1),
+                        ("companion", [-2, 0])],
+                       [[Fraction(1, 10**6 + 3), 2, 0, 1, 0],
+                        [0, 1, Fraction(3, 999983), 0, 0],
+                        [1, 0, 1, 0, Fraction(-1, 7)],
+                        [0, 0, 0, 1, 1],
+                        [2, 1, 0, 0, 1]])
+        mu = minimal_polynomial(Matrix(QQ, T))
+        # (x - 2)^2 (x + 1/5) (x^2 - 2)
+        expected = (Polynomial(QQ, [4, -4, 1]) * Polynomial(QQ, [Fraction(1, 5), 1])
+                    * Polynomial(QQ, [-2, 0, 1]))
+        assert mu == expected
+        assert sympy_is_minimal_polynomial(list(mu.coeffs), T)

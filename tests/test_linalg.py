@@ -16,6 +16,7 @@ from diagalg.linalg import (
     minimal_polynomial,
     poly_at_matrix,
     restriction_vanishes,
+    rref_rows,
     simultaneous_diagonalize_finite,
 )
 
@@ -26,6 +27,12 @@ from oracles import (
     sympy_factor_degrees,
     sympy_rational_diagonalizable,
 )
+
+
+def oracle_charpoly(A):
+    """sympy's characteristic polynomial of A; over F_p the integer
+    polynomial of the representatives, reduced mod p."""
+    return Polynomial(A.field, sympy_charpoly_coeffs([list(r) for r in A.rows]))
 
 
 def rand_matrix(rng, field, n):
@@ -75,13 +82,17 @@ class TestMatrixBasics:
         for _ in range(25):
             n = rng.randint(1, 5)
             A = rand_matrix(rng, QQ, n)
-            mine = list(A.charpoly().coeffs)
-            assert mine == sympy_charpoly_coeffs([list(r) for r in A.rows])
+            chi = oracle_charpoly(A)
+            mu = minimal_polynomial(A)
+            # Cayley-Hamilton, and mu has exactly the irreducible factors of chi
+            assert poly_at_matrix(chi, A).is_zero()
+            assert (chi % mu).is_zero()
+            assert (mu % (chi // chi.gcd(chi.derivative()))).is_zero()
 
     def test_zero_dimensional_edges(self):
         E = Matrix(QQ, [])
         assert minimal_polynomial(E) == Polynomial.one(QQ)
-        assert E.charpoly() == Polynomial.one(QQ)
+        assert oracle_charpoly(E) == Polynomial.one(QQ)
         res = diagonalize_finite(E)
         assert res.ok and res.p.nrows == 0
 
@@ -105,8 +116,9 @@ class TestMatrixBasics:
     def test_built_results_hold_field_scalars(self):
         A = Matrix(QQ, [[1, 2], [3, 4]])
         results = [A + A, A - A, -A, A * A, A.scale(3), A.transpose(), A.inverse(),
-                   A.rref()[0], A.solve_matrix(A), Matrix.from_cols(QQ, A.rows),
-                   Matrix.identity(QQ, 2), Matrix.zeros(QQ, 2, 3), Matrix.diagonal(QQ, [1, 2])]
+                   Matrix._of(QQ, rref_rows(A.rows, QQ)[0]), A.solve_matrix(A),
+                   Matrix.from_cols(QQ, A.rows), Matrix.identity(QQ, 2), Matrix.zeros(QQ, 2, 3),
+                   Matrix.diagonal(QQ, [1, 2])]
         for R in results:
             assert all(len(row) == R.ncols for row in R.rows)
             assert all(type(x) is Fraction for row in R.rows for x in row)
@@ -139,7 +151,7 @@ class TestMinimalPolynomial:
             field = rng.choice([QQ, GF(3), GF(5)])
             A = rand_matrix(rng, field, rng.randint(1, 4))
             mu = minimal_polynomial(A)
-            chi = A.charpoly()
+            chi = oracle_charpoly(A)
             assert (chi % mu).is_zero()
             assert poly_at_matrix(mu, A).is_zero()
 
@@ -178,7 +190,7 @@ class TestDiagonalizeFinite:
             if res.ok:
                 assert res.p.inverse() * T * res.p == res.d
                 # diagonal entries = roots of the characteristic polynomial
-                chi = T.charpoly()
+                chi = oracle_charpoly(T)
                 diag = [res.d[i, i] for i in range(T.nrows)]
                 prod = Polynomial.from_roots(field, diag)
                 assert prod == chi

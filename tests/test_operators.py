@@ -11,7 +11,7 @@ from diagalg.errors import (
     NotEventuallyDiagonal,
     WrongField,
 )
-from diagalg.fields import EPSeq, GF, Polynomial, QQ
+from diagalg.fields import EPSeq, GF, Polynomial, QQ, poly_splits_simply
 from diagalg.linalg import Matrix, diagonalize_finite, minimal_polynomial
 from diagalg.operators import (
     FiniteVector,
@@ -23,6 +23,7 @@ from diagalg.operators import (
     finite_field_diag_check,
     growth_certificate_data,
     krylov_torsion,
+    largest_invariant_subspace,
     prop_operator_check,
     spectrum,
     torsion_part_on_window,
@@ -318,6 +319,46 @@ class TestClosure:
         T = Operator(QQ, {1: EPSeq(QQ, [0, 0], [1])}, {(0, 1): 1, (1, 0): 1})
         rep = closure_membership(T, [FiniteVector.basis(QQ, 0)])
         assert rep.outcome == "in_closure" and not rep.semi_decided
+
+    def test_growth_route_witness_matches_krylov_probe(self):
+        # head v_0 .. v_{theta-1} invariant (diagonal 1x1 blocks, then a
+        # random block), a shift beyond it; the witness must be the first
+        # torsion-basis row whose Krylov probe on T gives an annihilator
+        # of degree <= depth that fails to split simply
+        rng = random.Random(71)
+        outcomes = []
+        leading_rows_skipped = False
+        for _ in range(120):
+            theta = rng.randint(2, 5)
+            k = rng.randint(0, theta - 1)
+            corr = {(i, i): rng.randint(-2, 2) for i in range(k)}
+            for i in range(k, theta):
+                for j in range(k, theta):
+                    if rng.random() < 0.6:
+                        corr[(i, j)] = Fraction(rng.randint(-2, 2), rng.choice([1, 1, 3]))
+            T = Operator(QQ, {theta: EPSeq(QQ, [0] * theta, [1])}, corr)
+            depth = rng.choice([1, 2, 3, 64, 64])
+            identity = [[int(i == j) for j in range(theta)] for i in range(theta)]
+            expected = None
+            for row in largest_invariant_subspace(T, identity, growth_certificate_data(T)[1]):
+                v = FiniteVector(QQ, dict(enumerate(row)))
+                probe = krylov_torsion(T, v, depth)
+                if (probe.outcome == "torsion"
+                        and not poly_splits_simply(probe.annihilator).splits):
+                    expected = (v, probe.annihilator)
+                    break
+            try:
+                rep = closure_membership(T, [FiniteVector.basis(QQ, 0)], depth)
+            except InvariantViolated:
+                assert expected is None
+                outcomes.append("no witness")
+                continue
+            outcomes.append(rep.outcome)
+            if rep.outcome == "not_in_closure":
+                assert (rep.witness, rep.witness_annihilator) == expected
+                leading_rows_skipped |= min(rep.witness.entries) > 0
+        assert outcomes.count("not_in_closure") >= 20 and "no witness" in outcomes
+        assert "in_closure" in outcomes and leading_rows_skipped
 
     def test_window_route_semi_decided(self):
         # no positive band: decision rests on the supplied window only

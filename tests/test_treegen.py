@@ -201,6 +201,26 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_tree(format_tree(bad))
 
+    def test_tree_verify_coerces_each_scalar_once(self, monkeypatch, capsys):
+        from diagalg import cli
+        from diagalg.fields import Rationals
+        from diagalg.textio import format_tree
+        text = format_tree(treegen.build(2, 16, seed=3))
+        counts = {"parse_scalar": 0, "scalar": 0}
+        for name in counts:
+            real = getattr(Rationals, name)
+
+            def counted(self, x, real=real, name=name):
+                counts[name] += 1
+                return real(self, x)
+
+            monkeypatch.setattr(Rationals, name, counted)
+        assert cli.main(["tree", "verify", "--text", text]) == 0
+        assert '"verdict": "pass"' in capsys.readouterr().out
+        # every node row and the witness: 16 scalars per row
+        assert counts["parse_scalar"] == 16 * (text.count("],[") + text.count("node") + 1)
+        assert counts["scalar"] <= counts["parse_scalar"]
+
 
 def _kernel_eigenspace(E, lam):
     """Eigenspace of a matrix by its kernel: the reference the node-read

@@ -732,10 +732,11 @@ def classical_equivalences(T):
     n = T.nrows
     diag = diagonalize_finite(T)
     mu = diag.mu
-    split_rep = poly_splits_simply(mu)
+    # diagonalize_finite succeeds exactly when mu splits simply
+    splits = diag.ok
     idems = None
     idems_ok = False
-    if split_rep.splits:
+    if splits:
         split = crt_split(mu)
         idems = [poly_at_matrix(e, T) for e in split.idempotents]
         total = Matrix.zeros(F, n)
@@ -756,13 +757,13 @@ def classical_equivalences(T):
     power_identity = None
     if F.char > 0:
         power_identity = (T ** F.char) == T
-    consistent = (diag.ok == split_rep.splits == idems_ok)
+    consistent = (splits == idems_ok)
     if power_identity is not None:
         consistent = consistent and (diag.ok == power_identity)
     return ClassicalReport(
         diagonalizable=diag.ok,
         mu=mu,
-        splits=split_rep.splits,
+        splits=splits,
         algebra_dim=mu.degree,
         idempotents=idems,
         consistent=consistent,

@@ -28,7 +28,7 @@ from .errors import (
     UnrepresentableSum,
 )
 from .fields import EPSeq, check_same_field, normalize_ep, poly_roots_in_field
-from .linalg import Matrix, minimal_polynomial, rref_rows
+from .linalg import Matrix, eigenspaces, minimal_polynomial, rref_rows
 from .operators import FiniteVector, Operator, largest_invariant_subspace
 
 INFINITE = "infinite"
@@ -453,6 +453,37 @@ def _lcm(a, b):
     return a * b // gcd(a, b)
 
 
+def _product(E, F_fam, rep_e, rep_f):
+    """The product family of two summable families (given with their
+    summability reports), their members, and the table of products E_i F_j.
+    NonCommuting names the first pair of members that do not commute;
+    pattern families are refused after that check; the product family's sum
+    is certified as (sum E)(sum F)."""
+    e_members = E.members()
+    f_members = F_fam.members()
+    table = []
+    for a, ea in enumerate(e_members):
+        row = []
+        for b, fb in enumerate(f_members):
+            p = ea * fb
+            if p != fb * ea:
+                raise NonCommuting(f"members {a} and {b} do not commute")
+            row.append(p)
+        table.append(row)
+    if E.kind == "pattern" or F_fam.kind == "pattern":
+        raise InvalidFamily("products of pattern families are not representable")
+    if E.kind == "partition" and F_fam.kind == "partition":
+        out = _combined_partition(E, F_fam)
+    else:
+        out = ExplicitFamily(E.field, [p for row in table for p in row if not p.is_zero()])
+    rep_out = summability(out)
+    if not rep_out.summable:
+        raise InvariantViolated("product family is not summable")
+    if rep_out.sum != rep_e.sum * rep_f.sum:
+        raise InvariantViolated("product family sum differs from the product of the sums")
+    return out, e_members, f_members, table
+
+
 def product_family(E, F_fam):
     """The family of pairwise products {E_i F_j} with zero members dropped.
 
@@ -462,7 +493,7 @@ def product_family(E, F_fam):
     an explicit family.  Products with pattern families would need a
     two-index shape that the representation does not carry.
     """
-    field = check_same_field(E.field, F_fam.field)
+    check_same_field(E.field, F_fam.field)
     if E.kind == "pattern" or F_fam.kind == "pattern":
         raise InvalidFamily("products of pattern families are not representable")
     rep_e = summability(E)
@@ -471,25 +502,7 @@ def product_family(E, F_fam):
         raise NotSummable(f"left family (witness j={rep_e.witness_index})")
     if not rep_f.summable:
         raise NotSummable(f"right family (witness j={rep_f.witness_index})")
-    if E.kind == "partition" and F_fam.kind == "partition":
-        out = _combined_partition(E, F_fam)
-    else:
-        f_members = F_fam.members()
-        prods = []
-        for a, ea in enumerate(E.members()):
-            for b, fb in enumerate(f_members):
-                p = ea * fb
-                if p != fb * ea:
-                    raise NonCommuting(f"members {a} and {b} do not commute")
-                if not p.is_zero():
-                    prods.append(p)
-        out = ExplicitFamily(field, prods)
-    rep_out = summability(out)
-    if not rep_out.summable:
-        raise InvariantViolated("product family is not summable")
-    if rep_out.sum != rep_e.sum * rep_f.sum:
-        raise InvariantViolated("product family sum differs from the product of the sums")
-    return out
+    return _product(E, F_fam, rep_e, rep_f)[0]
 
 
 class SimDiagFamilies:
@@ -507,26 +520,16 @@ class SimDiagFamilies:
 def simultaneous_diagonalize_families(E, F_fam):
     """Refine two commuting summable families with sum 1 into their product
     family, asserting the marginal identities sum_j E_i F_j = E_i and
-    sum_i E_i F_j = F_j.  The refinement sums to 1 because product_family
-    certifies its sum as (sum E)(sum F) and both factors are 1."""
+    sum_i E_i F_j = F_j.  The refinement sums to 1 because its sum is
+    certified as (sum E)(sum F) and both factors are 1."""
     try:
-        if not summability(E).sums_to_one:
+        rep_e = summability(E)
+        if not rep_e.sums_to_one:
             return SimDiagFamilies(False, reason="left family does not sum to 1")
-        if not summability(F_fam).sums_to_one:
+        rep_f = summability(F_fam)
+        if not rep_f.sums_to_one:
             return SimDiagFamilies(False, reason="right family does not sum to 1")
-        e_members = E.members()
-        f_members = F_fam.members()
-        table = []
-        for a, ea in enumerate(e_members):
-            row = []
-            for b, fb in enumerate(f_members):
-                p = ea * fb
-                if p != fb * ea:
-                    return SimDiagFamilies(
-                        False, reason=f"members {a} and {b} do not commute")
-                row.append(p)
-            table.append(row)
-        refined = product_family(E, F_fam)
+        refined, e_members, f_members, table = _product(E, F_fam, rep_e, rep_f)
     except (InvalidFamily, NotSummable, NonCommuting) as exc:
         return SimDiagFamilies(False, reason=str(exc))
     for ea, row in zip(e_members, table):
@@ -562,24 +565,16 @@ class SearchResult:
         return f"NoneWithin({self.truncation})"
 
 
-def _eigen_split(field, basis, images_of_basis):
-    """Split span(basis) into eigenspace candidates of the map sending the
-    basis rows to the given images (all vectors of the basis row length).
-    Returns (lam, rows) pairs.  The map must preserve the span."""
-    k = len(basis)
-    Bt = Matrix(field, basis).transpose()
-    X = Bt.solve_matrix(Matrix.from_cols(field, images_of_basis))
-    if X is None:
-        raise InvariantViolated("eigen-split images leave the span of the basis")
-    mu = minimal_polynomial(X)
+def _eigen_split(basis, X):
+    """The eigenspaces of the map with matrix X on span(basis) (column j of
+    X holds the coordinates of the image of basis row j), as (lam, RREF
+    rows) pairs."""
+    F = X.field
+    B = Matrix.from_cols(F, basis)
     out = []
-    for lam in poly_roots_in_field(mu):
-        shifted = X - Matrix.identity(field, k).scale(lam)
-        vecs = [Bt.matvec(combo) for combo in shifted.kernel_basis()]
-        rows, piv = rref_rows(vecs, field) if vecs else ([], [])
-        rows = [list(r) for r in rows[: len(piv)]]
-        if rows:
-            out.append((lam, rows))
+    for lam, combos in eigenspaces(X, poly_roots_in_field(minimal_polynomial(X))):
+        rows, piv = rref_rows([B.matvec(c) for c in combos], F)
+        out.append((lam, [list(r) for r in rows[: len(piv)]]))
     return out
 
 
@@ -603,17 +598,9 @@ def common_eigenvector_search(ops, truncation):
     for T in ops:
         new_spaces = []
         for basis in spaces:
-            basis = largest_invariant_subspace(T, basis, M)
-            if not basis:
-                continue
-            images = []
-            for row in basis:
-                img = T.apply(FiniteVector(field, dict(enumerate(row))))
-                if img.max_index() >= M:
-                    raise InvariantViolated("invariant subspace image leaves the window")
-                images.append(img.to_list(M))
-            for _lam, rows in _eigen_split(field, basis, images):
-                new_spaces.append(rows)
+            basis, X = largest_invariant_subspace(T, basis, M)
+            if basis:
+                new_spaces += [rows for _lam, rows in _eigen_split(basis, X)]
         spaces = new_spaces
         if not spaces:
             return SearchResult(False, truncation=truncation)

@@ -21,12 +21,16 @@ def mat_mul_mod(a, b, n, m, k, p):
     return out
 
 
-def mat_rref_mod(a, nrows, ncols, p):
-    """Reduced row echelon form mod p.  Returns (flat matrix, pivot columns)."""
+def mat_rref_mod(a, nrows, ncols, p, limit=None):
+    """Reduced row echelon form mod p.  Returns (flat matrix, pivot columns).
+
+    With ``limit``, pivots are searched only in the first ``limit`` columns
+    (augmented systems); the elimination still runs over every column.
+    """
     m = list(a)
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(ncols if limit is None else limit):
         pr = -1
         for i in range(r, nrows):
             if m[i * ncols + c] % p != 0:

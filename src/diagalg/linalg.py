@@ -25,49 +25,6 @@ from .errors import InvariantViolated, NotInvertible, NotSquare, SizeMismatch
 from .fields import QQ, Polynomial, check_same_field, poly_splits_simply
 
 
-def _rref_generic(rows, field, pivot_limit=None):
-    """RREF by Gauss-Jordan with exact scalars.
-
-    pivot_limit restricts pivot search to the first columns (for solving
-    augmented systems).  Returns (rows, pivots) with rows a list of lists.
-    """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    limit = ncols if pivot_limit is None else pivot_limit
-    pivots = []
-    r = 0
-    for c in range(limit):
-        pr = -1
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        if inv != field.one:
-            m[r] = [field.mul(x, inv) for x in m[r]]
-        row_r = m[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = m[i][c]
-            if not f:
-                continue
-            mi = m[i]
-            for j in range(c, ncols):
-                if row_r[j]:
-                    mi[j] = field.sub(mi[j], field.mul(f, row_r[j]))
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
 def _primitive(row):
     """An integer row divided by the gcd of its entries (unchanged if zero)."""
     g = gcd(*row)
@@ -132,18 +89,18 @@ def _rref_rational(rows, pivot_limit=None):
 
 
 def rref_rows(rows, field, pivot_limit=None):
-    """RREF of a list of row vectors: the mod-p kernels for full-width
-    reductions over prime fields, integer Gauss-Jordan over Q."""
+    """RREF of a list of row vectors: the mod-p kernel over prime fields,
+    integer Gauss-Jordan over Q.  pivot_limit restricts pivot search to the
+    first columns (for solving augmented systems).  Returns (rows, pivots)
+    with rows a list of lists."""
     if not rows:
         return [], []
     if field.char == 0:
         return _rref_rational(rows, pivot_limit)
-    if pivot_limit is None:
-        nrows, ncols = len(rows), len(rows[0])
-        flat = [x for row in rows for x in row]
-        out, pivots = kernels.mat_rref_mod(flat, nrows, ncols, field.char)
-        return [out[i * ncols:(i + 1) * ncols] for i in range(nrows)], list(pivots)
-    return _rref_generic(rows, field, pivot_limit)
+    nrows, ncols = len(rows), len(rows[0])
+    flat = [x for row in rows for x in row]
+    out, pivots = kernels.mat_rref_mod(flat, nrows, ncols, field.char, pivot_limit)
+    return [out[i * ncols:(i + 1) * ncols] for i in range(nrows)], list(pivots)
 
 
 class Matrix:
@@ -694,6 +651,22 @@ class DiagFiniteResult:
         return f"Not(mu={self.mu})"
 
 
+def eigenspaces(T, roots):
+    """The pairs (lam, ker(T - lam)) with a nonzero kernel, in the order of
+    roots; each kernel as its RREF basis rows (``Matrix.kernel_basis``)."""
+    F = T.field
+    out = []
+    for lam in roots:
+        shifted = Matrix._of(F, [
+            [F.sub(x, lam) if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(T.rows)
+        ])
+        basis = shifted.kernel_basis()
+        if basis:
+            out.append((lam, basis))
+    return out
+
+
 def diagonalize_finite(T):
     """Exact diagonalization: invertible P and diagonal D with P^-1 T P = D,
     eigenvalues in canonical scalar order and eigenvectors per eigenvalue in
@@ -710,11 +683,9 @@ def diagonalize_finite(T):
         return DiagFiniteResult(False, mu=mu)
     cols = []
     diag_values = []
-    for lam in rep.roots:
-        shifted = T - Matrix.identity(F, n).scale(lam)
-        for vec in shifted.kernel_basis():
-            cols.append(vec)
-            diag_values.append(lam)
+    for lam, basis in eigenspaces(T, rep.roots):
+        cols += basis
+        diag_values += [lam] * len(basis)
     P = Matrix.from_cols(F, cols)
     D = Matrix.diagonal(F, diag_values)
     if len(cols) != n or (T * P) != (P * D):
@@ -774,32 +745,28 @@ class SimDiagResult:
         return self.ok
 
 
-def _refine_blocks(Ts):
-    """Iterated common-eigenspace refinement.  Returns a list of
-    (signature, columns) pairs; requires every T diagonalizable and the
-    family commuting (checked by the callers)."""
+def _refine_blocks(Ts, roots):
+    """Iterated common-eigenspace refinement: each block is split by the
+    eigenspaces of the next T restricted to it, roots[k] being the sorted
+    roots of the k-th minimal polynomial.  Returns a list of (signature,
+    columns) pairs; requires every T diagonalizable and the family commuting
+    (checked by the callers)."""
     F = Ts[0].field
     n = Ts[0].nrows
     blocks = [((), [list(col) for col in Matrix.identity(F, n).rows])]
-    for T in Ts:
+    for T, lams in zip(Ts, roots):
         new_blocks = []
         for sig, cols in blocks:
             B = Matrix.from_cols(F, cols)
             X = B.solve_matrix(T * B)
             if X is None:
                 raise InvariantViolated("refinement block not invariant")
-            sub = diagonalize_finite(X)
-            if not sub.ok:
+            spaces = eigenspaces(X, lams)
+            if sum(len(basis) for _, basis in spaces) != len(cols):
                 raise InvariantViolated(
                     "restriction of a diagonalizable operator must stay diagonalizable")
-            by_val = {}
-            for idx in range(len(cols)):
-                lam = sub.d.rows[idx][idx]
-                coord = sub.p.col(idx)
-                vec = B.matvec(coord)
-                by_val.setdefault(lam, []).append(vec)
-            for lam in sorted(by_val, key=F.sort_key):
-                new_blocks.append((sig + (lam,), by_val[lam]))
+            for lam, basis in spaces:
+                new_blocks.append((sig + (lam,), [B.matvec(c) for c in basis]))
         blocks = new_blocks
     return blocks
 
@@ -820,11 +787,14 @@ def simultaneous_diagonalize_finite(Ts):
         for j in range(i + 1, len(Ts)):
             if Ts[i] * Ts[j] != Ts[j] * Ts[i]:
                 return SimDiagResult(False, reason="noncommuting", witness=(i, j))
+    roots = []
     for i, T in enumerate(Ts):
         mu = minimal_polynomial(T)
-        if not poly_splits_simply(mu).splits:
+        rep = poly_splits_simply(mu)
+        if not rep.splits:
             return SimDiagResult(False, reason="notdiagonalizable", witness=(i, mu))
-    blocks = _refine_blocks(Ts)
+        roots.append(rep.roots)
+    blocks = _refine_blocks(Ts, roots)
     P = Matrix.from_cols(F, [c for _, block in blocks for c in block])
     Pinv = P.inverse()
     for T in Ts:

@@ -518,27 +518,27 @@ class ClosureReport:
 
 
 def largest_invariant_subspace(T, basis, window):
-    """Largest subspace of span(basis) (rows of length ``window``) whose
+    """Largest subspace of span(basis) (RREF rows of length ``window``) whose
     image under T stays inside the window and inside itself, found by
-    stabilizing W <- {u in W : Tu in W}.  Returns RREF rows, or the basis
-    itself when its span is already invariant."""
+    stabilizing W <- {u in W : Tu in W}.  Returns its RREF rows (the basis
+    itself when its span is already invariant) and the matrix X of T on
+    them: column j holds the coordinates of the image of row j, which are
+    its entries at the pivot columns of the rows."""
     F = T.field
     reach = window + max(0, T.max_offset())
     pad = [F.zero] * (reach - window)
     while basis:
-        rows, piv = rref_rows([list(row) + pad for row in basis], F)
-        span = Subspace(F, reach, rows[: len(piv)])
-        residues = [
-            span.residue(T.apply(FiniteVector(F, dict(enumerate(row)))).to_list(reach))
-            for row in basis
-        ]
+        span = Subspace(F, reach, [list(row) + pad for row in basis])
+        images = [T.apply(FiniteVector(F, dict(enumerate(row)))).to_list(reach)
+                  for row in basis]
+        residues = [span.residue(img) for img in images]
+        if not any(any(r) for r in residues):
+            return basis, Matrix._of(F, [[img[c] for img in images] for c in span.pivots()])
         combos = Matrix.from_cols(F, residues).kernel_basis()
-        if len(combos) == len(basis):
-            return basis
         B = Matrix.from_cols(F, basis)
         rows, piv = rref_rows([B.matvec(c) for c in combos], F) if combos else ([], [])
         basis = [list(r) for r in rows[: len(piv)]]
-    return []
+    return [], Matrix._of(F, [])
 
 
 def closure_membership(T, window, depth=64):
@@ -551,7 +551,8 @@ def closure_membership(T, window, depth=64):
     the window generators are probed and a clean InClosure answer is only
     "no obstruction found" (semi_decided True).  A NotInClosure answer is
     always exact: it carries a verified torsion vector whose annihilator
-    fails to split simply.
+    fails to split simply.  ``depth`` bounds the Krylov probes of the window
+    route only.
     """
     F = T.field
     if F.char > 0:
@@ -569,30 +570,19 @@ def closure_membership(T, window, depth=64):
         # torsion part is the largest invariant subspace of that span
         theta = cert[1]
         identity = [list(r) for r in Matrix.identity(F, theta).rows]
-        basis = largest_invariant_subspace(T, identity, theta)
+        basis, X = largest_invariant_subspace(T, identity, theta)
         if not basis:
             return ClosureReport(
                 "in_closure", semi_decided=False,
                 detail="torsion part is zero (growth certificate)",
             )
-        imgs = []
-        for row in basis:
-            v = FiniteVector(F, {i: x for i, x in enumerate(row)})
-            img = T.apply(v)
-            if img.max_index() >= theta:
-                raise InvariantViolated("torsion space not invariant")
-            imgs.append(img.to_list(theta))
-        Bt = Matrix(F, basis).transpose()
-        X = Bt.solve_matrix(Matrix.from_cols(F, imgs))
-        if X is None:
-            raise InvariantViolated("torsion space images leave its span")
         res = diagonalize_finite(X)
         if res.ok:
             return ClosureReport(
                 "in_closure", semi_decided=False,
                 detail=f"diagonalizable on the {len(basis)}-dimensional torsion part",
             )
-        witness, ann = _nonsplit_witness(T, basis, X, depth)
+        witness, ann = _nonsplit_witness(T, basis, X)
         return ClosureReport(
             "not_in_closure", semi_decided=False,
             witness=witness, witness_annihilator=ann,
@@ -615,19 +605,18 @@ def closure_membership(T, window, depth=64):
     )
 
 
-def _nonsplit_witness(T, basis_rows, X, depth):
+def _nonsplit_witness(T, basis_rows, X):
     """A basis row of the torsion span whose annihilator fails the
     split-simply test; one exists whenever T is not diagonalizable there.
 
     Column j of X holds the coordinates of T applied to row j, so row i has
     the annihilator of e_i under the finite matrix X, and the Krylov chains
-    of X find it without applying T.  As in ``krylov_torsion``, only
-    annihilators of degree at most ``depth`` count, and the witness is
-    certified by applying its annihilator with T.
+    of X find it without applying T.  The witness is certified by applying
+    its annihilator with T.
     """
     F = T.field
     for row, ann in zip(basis_rows, krylov_annihilators(X)):
-        if ann.degree <= depth and not poly_splits_simply(ann).splits:
+        if not poly_splits_simply(ann).splits:
             v = FiniteVector(F, {i: x for i, x in enumerate(row)})
             if not annihilator_applies(T, v, ann):
                 raise InvariantViolated(f"Krylov relation {ann} does not annihilate {v}")

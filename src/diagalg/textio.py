@@ -129,7 +129,8 @@ def parse_vector(field, text):
     if not text.startswith("vec"):
         raise ParseError(f"expected 'vec i:s ...', got {text!r}")
     entries = {}
-    for chunk in text[3:].split():
+    # an F_p scalar may be written "r mod p": glue it into one chunk
+    for chunk in re.sub(r"\s+mod\s+", "mod", text[3:]).split():
         if ":" not in chunk:
             raise ParseError(f"bad vector entry {chunk!r}")
         idx, val = chunk.split(":", 1)

@@ -231,12 +231,12 @@ def plain_solve(A, b, p=None):
     return x
 
 
-def fraction_rref(rows, pivot_limit=None):
-    """Gauss-Jordan on Fractions with every row kept: (rows, pivots), the
-    pivot rows first.  The pivot of each column is the first nonzero entry
-    at or below the current row; pivot search stops at column pivot_limit
-    (augmented systems)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def fraction_rref(rows, pivot_limit=None, p=None):
+    """Gauss-Jordan with every row kept: (rows, pivots), the pivot rows
+    first.  On Fractions, or on ints mod p when p is given.  The pivot of
+    each column is the first nonzero entry at or below the current row;
+    pivot search stops at column pivot_limit (augmented systems)."""
+    m = [[_red(x, p) for x in row] for row in rows]
     ncols = len(m[0]) if m else 0
     limit = ncols if pivot_limit is None else pivot_limit
     pivots = []
@@ -246,12 +246,12 @@ def fraction_rref(rows, pivot_limit=None):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        m[r] = [x / p for x in m[r]]
+        inv = _inv(m[r][c], p)
+        m[r] = [_red(x * inv, p) for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [_red(a - f * b, p) for a, b in zip(m[i], m[r])]
         pivots.append(c)
     return m, pivots
 

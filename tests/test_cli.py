@@ -160,6 +160,17 @@ class TestCliCommands:
         assert probe.outcome == "torsion" and probe.annihilator == ann
         assert annihilator_applies(T, witness, ann)
 
+    def test_closure_growth_witness_beyond_depth(self, capsys):
+        # the torsion part is span(v_0, v_1) with annihilator x^2 - 2, of
+        # degree above --depth: depth bounds the window route only, so the
+        # exact growth-route verdict still carries its witness
+        doc = ("field Q\nband -1: pre=[0,2];per=[0]\nband 1: pre=[1];per=[0]\n"
+               "band 2: pre=[0,0];per=[1]\nvec 0:1")
+        code, rep = run_cli(capsys, "closure", "--depth", "1", "--text", doc)
+        assert code == 1 and rep["verdict"] == "not_in_closure"
+        assert rep["witness"] == "vec 0:1" and rep["witness_annihilator"] == "[-2,0,1]"
+        assert rep["semi_decided"] is False
+
     def test_summable_exit_codes(self, capsys):
         code, rep = run_cli(capsys, "summable", "--text",
                             "field Q\npartition pre=[] per=[1,2]")

@@ -377,3 +377,24 @@ class TestClassicalEquivalences:
             calls.clear()
             rep = classical_equivalences(T)
             assert len(calls) == 1 and rep.mu == real(T)
+
+    def test_splitting_decided_once(self, monkeypatch):
+        # the verdict of diagonalize_finite is the splitting verdict; only
+        # crt_split tests mu again, to build its idempotents
+        from diagalg import fields, funcalg, linalg
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return fields.poly_splits_simply(f)
+
+        monkeypatch.setattr(linalg, "poly_splits_simply", counting)
+        monkeypatch.setattr(funcalg, "poly_splits_simply", counting)
+        cases = [(Matrix.diagonal(QQ, [1, 2, 2]), 2), (Matrix(QQ, [[0, 1], [0, 0]]), 1),
+                 (Matrix(QQ, [[0, -1], [1, 0]]), 1), (Matrix(GF(3), [[0, 1], [1, 0]]), 2)]
+        for T, expected in cases:
+            calls.clear()
+            rep = classical_equivalences(T)
+            assert len(calls) == expected
+            assert rep.splits == fields.poly_splits_simply(rep.mu).splits == rep.diagonalizable
+            assert rep.consistent

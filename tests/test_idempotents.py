@@ -16,6 +16,7 @@ from diagalg.idempotents import (
     summability,
     validate,
 )
+from diagalg.linalg import Matrix
 from diagalg.operators import FiniteVector, Operator
 from diagalg import treegen
 
@@ -251,10 +252,14 @@ class TestSimDiagFamiliesCertifyOnce:
         F = self._split(Operator.diagonal(QQ, EPSeq(QQ, [], [0, 1])))
         res = simultaneous_diagonalize_families(E, F)
         assert res.ok and len(res.refined.ops) == 3
-        assert len(calls) <= 5
+        # once per input family, once for the product family
+        assert calls == [E, F, res.refined]
+        calls.clear()
+        assert set(product_family(E, F).ops) == set(res.refined.ops)
+        assert len(calls) == 3
         calls.clear()
         assert simultaneous_diagonalize_families(even_odd(), mod_k(QQ, 3)).ok
-        assert len(calls) <= 5
+        assert len(calls) == 3
 
     def test_reasons(self):
         unit = Operator.matrix_unit(QQ, 0, 0)
@@ -311,6 +316,26 @@ class TestCommonEigenvector:
         for T, lam in zip(ops, res.eigenvalues):
             assert T.apply(res.vector) == res.vector.scale(lam)
         assert sorted(res.eigenvalues) == [0, 0, 0, 1]
+
+    def test_restrictions_read_from_the_images(self, monkeypatch):
+        # the matrix of T on each invariant subspace comes from the images
+        # largest_invariant_subspace already holds: no solve, no second apply
+        tree_ops = treegen.idempotent_family(treegen.build(2, 16), 2)
+        calls = []
+        real = Matrix.solve_matrix
+        monkeypatch.setattr(Matrix, "solve_matrix",
+                            lambda self, B: calls.append(B) or real(self, B))
+        searches = [(tree_ops, 16, True),
+                    ([Operator.diagonal(QQ, EPSeq(QQ, [1, 1, 2], [2])),
+                      Operator.diagonal(QQ, EPSeq(QQ, [0, 5, 5], [5]))], 3, True),
+                    ([Operator.shift(QQ)], 6, False),
+                    ([Operator(QQ, {}, {(0, 1): -1, (1, 0): 1})], 2, False)]
+        for ops, M, found in searches:
+            res = common_eigenvector_search(ops, truncation=M)
+            assert res.found == found
+            for T, lam in zip(ops, res.eigenvalues or []):
+                assert T.apply(res.vector) == res.vector.scale(lam)
+        assert calls == []
 
     def test_mixed_shift_blocks(self):
         # one diagonal and one window-rotation: no common eigenvector in a

@@ -1,13 +1,11 @@
-"""The mod-p kernels against independent paths: the generic exact RREF over
-GF(p) and the plain-integer product in the oracles."""
+"""The mod-p kernels against independent paths: the plain mod-p
+Gauss-Jordan and the plain-integer product in the oracles."""
 
 import random
 
-from diagalg.fields import GF
 from diagalg.kernels import mat_mul_mod, mat_rref_mod
-from diagalg.linalg import _rref_generic
 
-from oracles import mat_mul
+from oracles import fraction_rref, mat_mul
 
 PRIMES = [2, 3, 5, 97, 65521, 2**61 - 1]
 
@@ -27,10 +25,13 @@ def test_kernels_match_independent_paths():
         A = [a[i * m:(i + 1) * m] for i in range(n)]
         B = [b[i * k:(i + 1) * k] for i in range(m)]
         assert mat_mul_mod(a, b, n, m, k, p) == [x for row in mat_mul(A, B, p) for x in row]
-        rows, pivots = _rref_generic(A, GF(p))
-        got, got_pivots = mat_rref_mod(a, n, m, p)
-        assert got == [x for row in rows for x in row]
-        assert list(got_pivots) == pivots
+        # full width, and pivots limited to the first columns (augmented
+        # systems, as in solve and inverse)
+        for limit in (None, rng.randint(0, m)):
+            rows, pivots = fraction_rref(A, limit, p)
+            got, got_pivots = mat_rref_mod(a, n, m, p, limit)
+            assert got == [x for row in rows for x in row]
+            assert list(got_pivots) == pivots
 
 
 def test_rref_shape_properties():

@@ -298,6 +298,37 @@ class TestSimultaneous:
             res = simultaneous_diagonalize_finite(fams)
             assert res.ok
 
+    def test_members_reduced_once(self, monkeypatch):
+        # one minimal polynomial per member; the blocks are split by the
+        # eigenspaces of the restrictions, with no per-block diagonalization
+        from diagalg import linalg
+        calls = {"minimal_polynomial": 0, "diagonalize_finite": 0}
+        for name in calls:
+            real = getattr(linalg, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(linalg, name, counting)
+        rng = random.Random(9)
+        for _ in range(10):
+            field = rng.choice([QQ, GF(5)])
+            n = rng.randint(2, 5)
+            while True:
+                P = rand_matrix(rng, field, n)
+                if P.rank() == n:
+                    break
+            Pinv = P.inverse()
+            Ts = [P * Matrix.diagonal(field, [rng.randint(0, 2) for _ in range(n)]) * Pinv
+                  for _ in range(rng.randint(1, 4))]
+            calls.update(minimal_polynomial=0, diagonalize_finite=0)
+            res = simultaneous_diagonalize_finite(Ts)
+            assert res.ok
+            assert calls == {"minimal_polynomial": len(Ts), "diagonalize_finite": 0}
+            signatures = [sig for sig, _ in res.blocks]
+            assert signatures == sorted(signatures) and len(set(signatures)) == len(signatures)
+
     def test_joint_eigenprojections_resolve_identity(self):
         T1 = Matrix.diagonal(QQ, [1, 1, 2])
         T2 = Matrix.diagonal(QQ, [0, 3, 3])

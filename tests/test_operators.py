@@ -324,10 +324,12 @@ class TestClosure:
         # head v_0 .. v_{theta-1} invariant (diagonal 1x1 blocks, then a
         # random block), a shift beyond it; the witness must be the first
         # torsion-basis row whose Krylov probe on T gives an annihilator
-        # of degree <= depth that fails to split simply
+        # that fails to split simply, whatever the depth: depth bounds the
+        # window route only
         rng = random.Random(71)
         outcomes = []
         leading_rows_skipped = False
+        beyond_depth = False
         for _ in range(120):
             theta = rng.randint(2, 5)
             k = rng.randint(0, theta - 1)
@@ -340,25 +342,56 @@ class TestClosure:
             depth = rng.choice([1, 2, 3, 64, 64])
             identity = [[int(i == j) for j in range(theta)] for i in range(theta)]
             expected = None
-            for row in largest_invariant_subspace(T, identity, growth_certificate_data(T)[1]):
+            rows, _X = largest_invariant_subspace(T, identity, growth_certificate_data(T)[1])
+            for row in rows:
                 v = FiniteVector(QQ, dict(enumerate(row)))
-                probe = krylov_torsion(T, v, depth)
+                probe = krylov_torsion(T, v)
                 if (probe.outcome == "torsion"
                         and not poly_splits_simply(probe.annihilator).splits):
                     expected = (v, probe.annihilator)
                     break
-            try:
-                rep = closure_membership(T, [FiniteVector.basis(QQ, 0)], depth)
-            except InvariantViolated:
-                assert expected is None
-                outcomes.append("no witness")
-                continue
+            rep = closure_membership(T, [FiniteVector.basis(QQ, 0)], depth)
             outcomes.append(rep.outcome)
-            if rep.outcome == "not_in_closure":
+            assert (rep.outcome == "not_in_closure") == (expected is not None)
+            if expected is not None:
                 assert (rep.witness, rep.witness_annihilator) == expected
                 leading_rows_skipped |= min(rep.witness.entries) > 0
-        assert outcomes.count("not_in_closure") >= 20 and "no witness" in outcomes
-        assert "in_closure" in outcomes and leading_rows_skipped
+                beyond_depth |= rep.witness_annihilator.degree > depth
+        assert outcomes.count("not_in_closure") >= 20 and "in_closure" in outcomes
+        assert leading_rows_skipped and beyond_depth
+
+    def test_growth_route_solves_nothing(self, monkeypatch):
+        # X is read from the images largest_invariant_subspace computed
+        calls = []
+        real = Matrix.solve_matrix
+        monkeypatch.setattr(Matrix, "solve_matrix",
+                            lambda self, B: calls.append(B) or real(self, B))
+        rng = random.Random(79)
+        outcomes = set()
+        for _ in range(40):
+            theta = rng.randint(1, 5)
+            corr = {(i, j): rng.randint(-1, 1) for i in range(theta) for j in range(theta)
+                    if rng.random() < 0.5}
+            T = Operator(QQ, {theta: EPSeq(QQ, [0] * theta, [1])}, corr)
+            outcomes.add(closure_membership(T, [FiniteVector.basis(QQ, 0)]).outcome)
+        assert outcomes == {"in_closure", "not_in_closure"} and calls == []
+
+    def test_invariant_subspace_matrix_of_t(self):
+        # X's column j holds the coordinates of T applied to row j
+        rng = random.Random(73)
+        for _ in range(30):
+            theta = rng.randint(1, 5)
+            corr = {(i, j): rng.randint(-2, 2) for i in range(theta) for j in range(theta)
+                    if rng.random() < 0.5}
+            T = Operator(QQ, {theta: EPSeq(QQ, [0] * theta, [1])}, corr)
+            identity = [[QQ.scalar(int(i == j)) for j in range(theta)] for i in range(theta)]
+            rows, X = largest_invariant_subspace(T, identity, theta)
+            assert X.nrows == X.ncols == len(rows)
+            for j, row in enumerate(rows):
+                img = T.apply(FiniteVector(QQ, dict(enumerate(row))))
+                combo = [sum((X[i, j] * r[c] for i, r in enumerate(rows)), Fraction(0))
+                         for c in range(theta)]
+                assert img == FiniteVector(QQ, dict(enumerate(combo)))
 
     def test_window_route_semi_decided(self):
         # no positive band: decision rests on the supplied window only

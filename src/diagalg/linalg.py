@@ -3,10 +3,10 @@
 Matrices are immutable (tuples of tuples of scalars); subspaces are stored
 as reduced-row-echelon bases, which makes subspace equality a tuple
 comparison.  Mod-p row reduction and multiplication go through the flat
-int kernels in ``kernels``.  Over Q, row reduction and the Krylov chains of
-minimal polynomials are fraction-free: they run on Python ints (rows
-cleared of denominators, the matrix scaled by its common denominator) and
-build Fractions only for their results.  Other sparse incremental
+int kernels in ``kernels``.  Over Q, products, row reduction and the Krylov
+chains of minimal polynomials are fraction-free: they run on Python ints
+(rows cleared of denominators, the matrix scaled by its common denominator)
+and build Fractions only for their results.  Other sparse incremental
 reduction (Krylov chains over F_p and on infinite operators, basis
 completion) goes through one ``Echelon`` type.
 
@@ -226,20 +226,29 @@ class Matrix:
             flat_b = [x for row in other.rows for x in row]
             out = kernels.mat_mul_mod(flat_a, flat_b, n, m, k, F.char)
             return Matrix._of(F, [out[i * k:(i + 1) * k] for i in range(n)])
+        # Over Q, one integer product: each row of self is cleared to its own
+        # denominator d, other to one common denominator d_b, so entry (i, j)
+        # is an integer sum over (d * d_b).  Zeros are skipped in both
+        # operands, and a Fraction is built only for a nonzero output entry.
+        bsupport = [[(j, x) for j, x in enumerate(row) if x] for row in other.rows]
+        d_b = lcm(*[x.denominator for row in bsupport for _, x in row])
+        brows = [[(j, x.numerator * (d_b // x.denominator)) for j, x in row]
+                 for row in bsupport]
         zero = F.zero
-        out = [[zero] * k for _ in range(n)]
-        brows = other.rows
-        for i in range(n):
-            arow = self.rows[i]
-            orow = out[i]
-            for t in range(m):
-                c = arow[t]
-                if not c:
-                    continue
-                brow = brows[t]
-                for j in range(k):
-                    if brow[j]:
-                        orow[j] = F.add(orow[j], F.mul(c, brow[j]))
+        out = []
+        for arow in self.rows:
+            support = [(t, x) for t, x in enumerate(arow) if x]
+            d = lcm(*[x.denominator for _, x in support])
+            acc = [0] * k
+            for t, x in support:
+                a = x.numerator * (d // x.denominator)
+                for j, b in brows[t]:
+                    acc[j] += a * b
+            d *= d_b
+            if d == 1:
+                out.append([Fraction(s) if s else zero for s in acc])
+            else:
+                out.append([Fraction(s, d) if s else zero for s in acc])
         return Matrix._of(F, out)
 
     __rmul__ = scale
@@ -620,16 +629,29 @@ def minimal_polynomial(T):
 
 
 def poly_at_matrix(poly, T):
-    """poly evaluated at a square matrix, by Horner."""
+    """poly evaluated at a square matrix, by Horner from the leading
+    coefficient times I, each lower coefficient added on the diagonal."""
     if not T.is_square():
         raise NotSquare("polynomial evaluation at a non-square matrix")
     F = check_same_field(poly.field, T.field)
-    acc = Matrix.zeros(F, T.nrows)
-    for c in reversed(poly.coeffs):
+    n = T.nrows
+    if not poly.coeffs:
+        return Matrix.zeros(F, n)
+    acc = Matrix.diagonal(F, [poly.coeffs[-1]] * n)
+    for c in reversed(poly.coeffs[:-1]):
         acc = acc * T
         if c != F.zero:
-            acc = acc + Matrix.identity(F, T.nrows).scale(c)
+            acc = _plus_scalar(acc, c)
     return acc
+
+
+def _plus_scalar(M, c):
+    """M + c*I for a square M and a field scalar c."""
+    F = M.field
+    return Matrix._of(F, [
+        [F.add(x, c) if i == j else x for j, x in enumerate(row)]
+        for i, row in enumerate(M.rows)
+    ])
 
 
 class DiagFiniteResult:
@@ -657,11 +679,7 @@ def eigenspaces(T, roots):
     F = T.field
     out = []
     for lam in roots:
-        shifted = Matrix._of(F, [
-            [F.sub(x, lam) if i == j else x for j, x in enumerate(row)]
-            for i, row in enumerate(T.rows)
-        ])
-        basis = shifted.kernel_basis()
+        basis = _plus_scalar(T, F.neg(lam)).kernel_basis()
         if basis:
             out.append((lam, basis))
     return out
@@ -746,26 +764,30 @@ class SimDiagResult:
 
 
 def _refine_blocks(Ts, roots):
-    """Iterated common-eigenspace refinement: each block is split by the
-    eigenspaces of the next T restricted to it, roots[k] being the sorted
-    roots of the k-th minimal polynomial.  Returns a list of (signature,
+    """Iterated common-eigenspace refinement, roots[k] being the sorted
+    roots of the k-th minimal polynomial.  The first T's eigenspaces are the
+    first blocks; each later T is restricted to each block and splits it by
+    the eigenspaces of the restriction.  Returns a list of (signature,
     columns) pairs; requires every T diagonalizable and the family commuting
     (checked by the callers)."""
     F = Ts[0].field
-    n = Ts[0].nrows
-    blocks = [((), [list(col) for col in Matrix.identity(F, n).rows])]
-    for T, lams in zip(Ts, roots):
+
+    def split(X, lams, size):
+        spaces = eigenspaces(X, lams)
+        if sum(len(basis) for _, basis in spaces) != size:
+            raise InvariantViolated(
+                "restriction of a diagonalizable operator must stay diagonalizable")
+        return spaces
+
+    blocks = [((lam,), basis) for lam, basis in split(Ts[0], roots[0], Ts[0].nrows)]
+    for T, lams in zip(Ts[1:], roots[1:]):
         new_blocks = []
         for sig, cols in blocks:
             B = Matrix.from_cols(F, cols)
             X = B.solve_matrix(T * B)
             if X is None:
                 raise InvariantViolated("refinement block not invariant")
-            spaces = eigenspaces(X, lams)
-            if sum(len(basis) for _, basis in spaces) != len(cols):
-                raise InvariantViolated(
-                    "restriction of a diagonalizable operator must stay diagonalizable")
-            for lam, basis in spaces:
+            for lam, basis in split(X, lams, len(cols)):
                 new_blocks.append((sig + (lam,), [B.matvec(c) for c in basis]))
         blocks = new_blocks
     return blocks

@@ -50,6 +50,15 @@ def mat_mul(A, B, p=None):
     return out
 
 
+def fraction_matmul(A, B):
+    """A times B by the plain triple loop on Fractions (B's column count is
+    read from its first row, so a B without rows gives a product without
+    columns)."""
+    n, m, k = len(A), len(B), len(B[0]) if B else 0
+    return [[sum((Fraction(A[i][t]) * Fraction(B[t][j]) for t in range(m)), Fraction(0))
+             for j in range(k)] for i in range(n)]
+
+
 def mat_vec(A, v, p=None):
     out = [sum(a * x for a, x in zip(row, v)) for row in A]
     if p is not None:

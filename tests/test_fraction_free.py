@@ -1,9 +1,12 @@
 """Differential tests of the fraction-free linear algebra over Q.
 
-``rref_rows`` over Q runs Gauss-Jordan on integer rows, and
+``rref_rows`` over Q runs Gauss-Jordan on integer rows,
 ``minimal_polynomial`` over Q runs its Krylov chains on the integer matrix
-delta*T.  Both are checked against independent references: a plain
-Gauss-Jordan on Fractions (``oracles.fraction_rref``) and sympy.
+delta*T, and ``Matrix.__mul__`` over Q forms one integer product of the
+operands cleared of their denominators.  They are checked against
+independent references: a plain Gauss-Jordan and a plain triple-loop
+product on Fractions (``oracles.fraction_rref``, ``oracles.fraction_matmul``)
+and sympy.
 """
 
 import random
@@ -16,7 +19,12 @@ from diagalg.errors import NotInvertible
 from diagalg.fields import QQ, Polynomial
 from diagalg.linalg import Matrix, minimal_polynomial, rref_rows
 
-from oracles import conjugated, fraction_rref, sympy_is_minimal_polynomial
+from oracles import (
+    conjugated,
+    fraction_matmul,
+    fraction_rref,
+    sympy_is_minimal_polynomial,
+)
 
 ff_settings = settings(max_examples=80, deadline=None, database=None)
 
@@ -49,6 +57,41 @@ def matrices(draw, nrows=None, ncols=None):
             rows.append([a + s * b for a, b in zip(rows[i], rows[j])])
     order = draw(st.permutations(range(len(rows))))
     return [rows[i] for i in order]
+
+
+nonzero_entries = st.one_of(
+    st.builds(Fraction, st.integers(-4, 4).filter(bool)),
+    st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def operands(draw, nrows, ncols):
+    """An nrows x ncols matrix (as rows of Fractions) that is mostly zero
+    (at most three nonzero entries), mixed, or dense."""
+    kind = draw(st.sampled_from(["sparse", "mixed", "dense"]))
+    if kind == "sparse":
+        rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+        if nrows and ncols:
+            for i, j, x in draw(st.lists(st.tuples(st.integers(0, nrows - 1),
+                                                   st.integers(0, ncols - 1),
+                                                   nonzero_entries), max_size=3)):
+                rows[i][j] = x
+        return rows
+    entry = entries if kind == "mixed" else nonzero_entries
+    return [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+
+
+@st.composite
+def products(draw):
+    """Factors (A, B) of an n x m by m x k product, n, m, k from 0 to 6.  A
+    matrix without rows has no columns, so when n = 0 the inner size is 0
+    too; the empty shapes drawn are n x 0 * 0 x 0, 0 x 0 * 0 x 0 and
+    n x m * m x 0."""
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(0, 6)) if n else 0
+    k = draw(st.integers(0, 6))
+    return draw(operands(n, m)), draw(operands(m, k))
 
 
 def matvec(rows, x):
@@ -139,6 +182,46 @@ class TestRrefRows:
         assert not calls
         monkeypatch.undo()
         assert out == expected and len(out[1]) == 12
+
+
+class TestMatmul:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(products())
+    def test_matches_fraction_triple_loop(self, ab):
+        A, B = ab
+        C = Matrix(QQ, A) * Matrix(QQ, B)
+        expected = fraction_matmul(A, B)
+        assert (C.nrows, C.ncols) == (len(A), len(expected[0]) if expected else 0)
+        assert [list(row) for row in C.rows] == expected
+        assert all(type(x) is Fraction for row in C.rows for x in row)
+
+    def test_rational_product_makes_no_fraction_arithmetic(self, monkeypatch):
+        rng = random.Random(13)
+
+        def entry():
+            if rng.random() < 0.3:
+                return Fraction(0)
+            return Fraction(rng.randint(-10**6, 10**6), rng.choice([1, 2, 9, 10**6]))
+
+        A = [[entry() for _ in range(12)] for _ in range(12)]
+        B = [[entry() for _ in range(12)] for _ in range(12)]
+        expected = fraction_matmul(A, B)
+        MA, MB = Matrix(QQ, A), Matrix(QQ, B)
+        calls = []
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            real = getattr(Fraction, name)
+
+            def counted(a, b, real=real):
+                calls.append(1)
+                return real(a, b)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        assert Fraction(2, 3) * 3 + 1 == 3 and len(calls) == 2  # the counter sees both
+        calls.clear()
+        C = MA * MB
+        assert not calls
+        monkeypatch.undo()
+        assert [list(row) for row in C.rows] == expected
 
 
 # Jordan blocks at small rational eigenvalues and companion blocks of

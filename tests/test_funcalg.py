@@ -14,6 +14,7 @@ from diagalg.errors import (
 from diagalg.fields import GF, Polynomial, QQ
 from diagalg.funcalg import (
     AlgebraHom,
+    _trace_form,
     FiniteAlgebra,
     FunctionAlgebra,
     Partition,
@@ -35,9 +36,9 @@ from diagalg.funcalg import (
     subalgebra_partition,
     upper_triangular_algebra,
 )
-from diagalg.linalg import Matrix
+from diagalg.linalg import Matrix, Subspace
 
-from oracles import plain_rank
+from oracles import fraction_matmul, plain_rank
 
 
 def P(field, *coeffs):
@@ -259,6 +260,27 @@ class TestRadical:
 
     def test_matrix_algebra_semisimple(self):
         assert radical(matrix_algebra(QQ, 2)).dim == 0
+
+    def test_trace_form_matches_gram_of_explicit_products(self):
+        rng = random.Random(16)
+        algebras = [upper_triangular_algebra(QQ, 3), matrix_algebra(QQ, 2),
+                    product_algebra([upper_triangular_algebra(QQ, 2),
+                                     poly_quotient_algebra(QQ, P(QQ, 0, 0, 1))])]
+        for _ in range(6):
+            roots = [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 7, 10**6]))
+                     for _ in range(rng.randint(1, 4))]
+            roots += rng.sample(roots, rng.randint(0, len(roots)))  # repeated roots
+            algebras.append(poly_quotient_algebra(QQ, Polynomial.from_roots(QQ, roots)))
+            coeffs = [Fraction(rng.randint(-9, 9), rng.choice([1, 3, 10**6]))
+                      for _ in range(rng.randint(1, 6))]
+            algebras.append(poly_quotient_algebra(QQ, Polynomial(QQ, coeffs + [1])))
+        for A in algebras:
+            lams = [A.lambda_matrix(A.basis_element(i)) for i in range(A.dim)]
+            dense = [[list(r) for r in L.rows] for L in lams]
+            gram = Matrix(QQ, [[sum((fraction_matmul(Li, Lj)[a][a] for a in range(A.dim)),
+                                    Fraction(0)) for Lj in dense] for Li in dense])
+            assert _trace_form(lams) == gram
+            assert radical(A) == Subspace.from_vectors(QQ, A.dim, gram.kernel_basis())
 
     def test_char_p_nilradical(self):
         F2 = GF(2)

@@ -25,6 +25,7 @@ from oracles import (
     plain_solve,
     sympy_charpoly_coeffs,
     sympy_factor_degrees,
+    sympy_poly_at,
     sympy_rational_diagonalizable,
 )
 
@@ -154,6 +155,40 @@ class TestMinimalPolynomial:
             chi = oracle_charpoly(A)
             assert (chi % mu).is_zero()
             assert poly_at_matrix(mu, A).is_zero()
+
+
+class TestPolyAtMatrix:
+    def test_against_sympy_horner(self, monkeypatch):
+        # one product per degree: Horner starts from the leading coefficient
+        products = []
+        real = Matrix.__mul__
+
+        def counting(self, other):
+            products.append(1)
+            return real(self, other)
+
+        monkeypatch.setattr(Matrix, "__mul__", counting)
+        rng = random.Random(21)
+        for field in (QQ, GF(7), GF(2)):
+            for _ in range(15):
+                n = rng.randint(0, 4)
+                T = rand_matrix(rng, field, n)
+                if field.char == 0:
+                    T = T.scale(Fraction(1, rng.choice([1, 2, 5])))
+                    coeffs = [Fraction(rng.randint(-3, 3), rng.choice([1, 3]))
+                              for _ in range(rng.randint(0, 5))]
+                else:
+                    coeffs = [rng.randrange(field.char) for _ in range(rng.randint(0, 5))]
+                poly = Polynomial(field, coeffs)
+                products.clear()
+                value = poly_at_matrix(poly, T)
+                assert len(products) == max(poly.degree, 0)
+                ref = sympy_poly_at(list(poly.coeffs), [list(r) for r in T.rows])
+                expected = [[Fraction(int(ref[i, j].p), int(ref[i, j].q)) for j in range(n)]
+                            for i in range(n)]
+                if field.char:
+                    expected = [[int(x) % field.char for x in row] for row in expected]
+                assert value == Matrix(field, expected)
 
 
 class TestDiagonalizeFinite:
@@ -328,6 +363,38 @@ class TestSimultaneous:
             assert calls == {"minimal_polynomial": len(Ts), "diagonalize_finite": 0}
             signatures = [sig for sig, _ in res.blocks]
             assert signatures == sorted(signatures) and len(set(signatures)) == len(signatures)
+
+    def test_refinement_restricts_from_the_second_member_on(self, monkeypatch):
+        # the first member splits the whole space: no restriction is solved
+        # for it; every later member is solved once on each current block
+        from diagalg import linalg
+        solves = []
+        real = Matrix.solve_matrix
+
+        def counting(self, B):
+            solves.append(1)
+            return real(self, B)
+
+        monkeypatch.setattr(Matrix, "solve_matrix", counting)
+        rng = random.Random(10)
+        for _ in range(10):
+            field = rng.choice([QQ, GF(5)])
+            n = rng.randint(1, 5)
+            while True:
+                P = rand_matrix(rng, field, n)
+                if P.rank() == n:
+                    break
+            Pinv = P.inverse()
+            Ts = [P * Matrix.diagonal(field, [rng.randint(0, 2) for _ in range(n)]) * Pinv
+                  for _ in range(rng.randint(1, 4))]
+            roots = [poly_splits_simply(minimal_polynomial(T)).roots for T in Ts]
+            solves.clear()
+            blocks = linalg._refine_blocks(Ts, roots)
+            # blocks before member m are the distinct signature prefixes of length m
+            expected = sum(len({sig[:m] for sig, _ in blocks}) for m in range(1, len(Ts)))
+            assert len(solves) == expected
+            assert sum(len(cols) for _, cols in blocks) == n
+            assert simultaneous_diagonalize_finite(Ts).blocks == blocks
 
     def test_joint_eigenprojections_resolve_identity(self):
         T1 = Matrix.diagonal(QQ, [1, 1, 2])

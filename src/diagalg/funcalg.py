@@ -20,10 +20,6 @@ case, lambda(A) its own commutant -- facts checked exactly by the
 double-commutant report.
 """
 
-import operator
-from fractions import Fraction
-from math import lcm
-
 from .errors import (
     DoesNotSplitSimply,
     InvariantViolated,
@@ -34,7 +30,7 @@ from .errors import (
     SizeMismatch,
     UnsupportedCharCase,
 )
-from .fields import QQ, Polynomial, check_same_field, poly_splits_simply
+from .fields import Polynomial, check_same_field, poly_splits_simply
 from .linalg import (
     Matrix,
     Subspace,
@@ -548,29 +544,6 @@ def embed_in_product(algebras, index, vector):
 # ---------------------------------------------------------------------------
 
 
-def _trace_form(mats):
-    """The Gram matrix (tr(M_i M_j)) of square matrices over Q, without
-    forming a product: tr(M_i M_j) is the sum over a of (row a of M_i) .
-    (column a of M_j), computed on integers cleared to one common
-    denominator, and only for j >= i since tr(M_i M_j) = tr(M_j M_i)."""
-    delta = lcm(*[x.denominator for M in mats for row in M.rows for x in row if x])
-
-    def cleared(rows):
-        return [x.numerator * (delta // x.denominator) for row in rows for x in row]
-
-    rows = [cleared(M.rows) for M in mats]
-    cols = [cleared(zip(*M.rows)) for M in mats]
-    den = delta * delta
-    g = len(mats)
-    gram = [[QQ.zero] * g for _ in range(g)]
-    for i in range(g):
-        for j in range(i, g):
-            s = sum(map(operator.mul, rows[i], cols[j]))
-            if s:
-                gram[i][j] = gram[j][i] = Fraction(s, den)
-    return Matrix._of(QQ, gram)
-
-
 def radical(A):
     """Basis of the Jacobson radical as a Subspace of the coordinate space.
 
@@ -585,8 +558,12 @@ def radical(A):
     if d == 0:
         return Subspace.zero_space(F, 0)
     if F.char == 0:
-        lams = [A.lambda_matrix(A.basis_element(i)) for i in range(d)]
-        return Subspace.from_vectors(F, d, _trace_form(lams).kernel_basis())
+        # tr(L_{e_i} L_{e_j}) = tr(L_{e_i e_j}) (A is associative), read from
+        # the structure constants: the sum over k of c_ij^k tr(L_{e_k})
+        t = [sum((A.table[k][a][a] for a in range(d)), F.zero) for k in range(d)]
+        gram = [[sum((c * tk for c, tk in zip(cell, t)), F.zero) for cell in row]
+                for row in A.table]
+        return Subspace.from_vectors(F, d, Matrix(F, gram).kernel_basis())
     if not A.is_commutative():
         raise UnsupportedCharCase("char-p radical needs a commutative algebra")
     p = F.char

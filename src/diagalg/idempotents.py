@@ -17,7 +17,7 @@ members whose templates collide are rejected outright; cancellation of
 colliding units over small characteristic is not modeled.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     InvalidFamily,
@@ -436,7 +436,7 @@ def lub_check(family, f):
 def _combined_partition(E, F_fam):
     field = E.field
     L = max(len(E.pre), len(F_fam.pre))
-    per_len = _lcm(len(E.per), len(F_fam.per))
+    per_len = lcm(len(E.per), len(F_fam.per))
     ids = {}
     pre = []
     for j in range(L):
@@ -447,10 +447,6 @@ def _combined_partition(E, F_fam):
         pair = (E.color_at(j), F_fam.color_at(j))
         per.append(ids.setdefault(pair, len(ids) + 1))
     return PartitionFamily(field, pre, per)
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 def _product(E, F_fam, rep_e, rep_f):

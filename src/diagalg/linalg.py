@@ -3,12 +3,12 @@
 Matrices are immutable (tuples of tuples of scalars); subspaces are stored
 as reduced-row-echelon bases, which makes subspace equality a tuple
 comparison.  Mod-p row reduction and multiplication go through the flat
-int kernels in ``kernels``.  Over Q, products, row reduction and the Krylov
-chains of minimal polynomials are fraction-free: they run on Python ints
-(rows cleared of denominators, the matrix scaled by its common denominator)
-and build Fractions only for their results.  Other sparse incremental
-reduction (Krylov chains over F_p and on infinite operators, basis
-completion) goes through one ``Echelon`` type.
+int kernels in ``kernels``.  Over Q, products and row reduction are
+fraction-free: they run on Python ints (rows cleared of denominators) and
+build Fractions only for their results.  Every incremental reduction
+(the Krylov chains of matrices over Q and F_p and of infinite operators,
+independence tests and basis completion) goes through one ``Echelon``,
+which also runs on Python ints: fraction-free over Q, monic rows mod p.
 
 The diagonalization entry points implement the standard criteria: an
 operator on a finite-dimensional space is diagonalizable iff its minimal
@@ -483,135 +483,125 @@ class Subspace:
 
 
 class Echelon:
-    """Incremental echelon basis of sparse vectors (maps index -> scalar),
-    each row keyed by its largest support index.  With track=True every row
-    also carries its coefficients over the vectors that entered the basis,
-    so that a dependent vector yields the linear relation it satisfies."""
+    """Incremental echelon basis of dense vectors, on Python ints.  Each row
+    is keyed by its pivot, the largest index of its support, and is cut
+    after it.  With track=True every row also carries its coefficients over
+    the vectors that entered the basis, so that a dependent vector yields
+    the linear relation it satisfies.
+
+    Over Q a vector is cleared of its denominators, and its scale is the
+    starting entry of its relation; rows combine by cross-multiplication
+    and are divided by their content (relation included), so each row is a
+    nonzero integer multiple of the one a Fraction elimination would hold.
+    Over F_p a row is stored monic and reduced mod p."""
 
     __slots__ = ("field", "rows", "coeffs", "track")
 
     def __init__(self, field, track=False):
         self.field = field
-        self.rows = {}  # pivot -> reduced vector, nonzero entries only
-        self.coeffs = {}  # pivot -> coefficients over the added vectors
+        self.rows = {}  # pivot -> int row, cut after the pivot
+        self.coeffs = {}  # pivot -> its int coefficients over the added vectors
         self.track = track
 
     def __len__(self):
         return len(self.rows)
 
     def add(self, vec):
-        """Reduce vec against the rows.  A nonzero residue becomes a new row
-        and the result is None.  A vec already in the span returns its
-        relation instead: c_0 v_0 + ... + c_{k-1} v_{k-1} + vec = 0 over the
-        vectors v_i that entered the basis, in order, as the list
+        """Reduce vec, a sequence of field scalars (ints or Fractions over
+        Q), against the rows.  A nonzero residue becomes a new row and the
+        result is None.  A vec already in the span returns its relation
+        instead: c_0 v_0 + ... + c_{k-1} v_{k-1} + vec = 0 over the vectors
+        v_i that entered the basis, in order, as the list of field scalars
         [c_0, ..., c_{k-1}, 1] (an empty list unless tracking)."""
-        F = self.field
-        zero = F.zero
-        rows = self.rows
-        w = {i: x for i, x in vec.items() if x != zero}
-        rep = None
-        if self.track:
-            rep = [zero] * len(rows) + [F.one]
-        while w:
-            piv = max(w)
-            row = rows.get(piv)
+        p = self.field.char
+        rows, coeffs, track = self.rows, self.coeffs, self.track
+        if p:
+            w = vec
+            rep = [0] * len(rows) + [1] if track else []
+        else:
+            s = lcm(*[x.denominator for x in vec])
+            if s == 1:
+                w = [x.numerator for x in vec]
+            else:
+                w = [x.numerator * (s // x.denominator) for x in vec]
+            rep = [0] * len(rows) + [s] if track else []
+        for j in range(len(w) - 1, -1, -1):
+            f = w[j]
+            if not f:
+                continue
+            row = rows.get(j)
             if row is None:
-                rows[piv] = w
-                if rep is not None:
-                    self.coeffs[piv] = rep
-                return None
-            f = F.div(w[piv], row[piv])
-            for j, c in row.items():
-                val = F.sub(w.get(j, zero), F.mul(f, c))
-                if val == zero:
-                    w.pop(j, None)
+                if p:
+                    inv = pow(f, -1, p)
+                    rows[j] = [x * inv % p for x in w[:j + 1]]
+                    if track:
+                        coeffs[j] = [c * inv % p for c in rep]
                 else:
-                    w[j] = val
-            if rep is not None:
-                for j, c in enumerate(self.coeffs[piv]):
-                    if c != zero:
-                        rep[j] = F.sub(rep[j], F.mul(f, c))
-        return rep if rep is not None else []
+                    rows[j] = w[:j + 1]
+                    if track:
+                        coeffs[j] = rep
+                return None
+            # entries above j are zero, so zip cuts w after j
+            if p:
+                w = [(x - f * y) % p for x, y in zip(w, row)]
+                if track:
+                    cj = coeffs[j]
+                    rep = [(x - f * y) % p for x, y in zip(rep, cj)] + rep[len(cj):]
+                continue
+            g = gcd(row[j], f)
+            a, b = row[j] // g, f // g
+            w = [a * x - b * y for x, y in zip(w, row)]
+            if track:
+                cj = coeffs[j]
+                rep = [a * x - b * y for x, y in zip(rep, cj)] + [a * x for x in rep[len(cj):]]
+            g = gcd(*w, *rep)
+            if g > 1:
+                w = [x // g for x in w]
+                rep = [x // g for x in rep]
+        if p or not track:
+            return rep
+        lead = rep[-1]
+        return [Fraction(x, lead) if x else QQ.zero for x in rep]
 
 
 # ---------------------------------------------------------------------------
 # Minimal polynomials and diagonalization
 # ---------------------------------------------------------------------------
 
-def _local_annihilator(T, start):
-    """Monic minimal polynomial of the Krylov chain v, Tv, T^2 v, ... for the
-    standard basis vector e_start."""
-    F = T.field
-    v = [F.zero] * T.nrows
-    v[start] = F.one
-    echelon = Echelon(F, track=True)
-    while True:
-        relation = echelon.add(dict(enumerate(v)))
-        if relation is not None:
-            return Polynomial(F, relation)
-        v = T.matvec(v)
-
-
-def _integer_annihilator(A, start):
-    """Monic minimal polynomial, as ints lowest degree first, of the Krylov
-    chain of e_start under a square integer matrix A (int rows).
-
-    Fraction-free tracked elimination: each chain vector is reduced against
-    the earlier residues by integer row combinations that carry its
-    coefficients over the chain, and each combination is divided by its
-    content.  The first zero residue is a relation sum c_k A^k e_start = 0
-    of least degree, so its coefficients are a multiple of the annihilator;
-    that annihilator divides the characteristic polynomial, which is monic
-    over Z, so by Gauss's lemma dividing by the leading c_d is exact.
-    """
-    v = [0] * len(A)
-    v[start] = 1
-    basis = []  # (pivot, residue, its coefficients over the chain)
-    while True:
-        w = v
-        rep = [0] * len(basis) + [1]
-        for piv, row, coeffs in basis:
-            f = w[piv]
-            if not f:
-                continue
-            p = row[piv]
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            w = [a * x - b * y for x, y in zip(w, row)]
-            rep = [a * x - b * y for x, y in zip(rep, coeffs)] + [a * x for x in rep[len(coeffs):]]
-            g = gcd(gcd(*w), *rep)
-            if g > 1:
-                w = [x // g for x in w]
-                rep = [x // g for x in rep]
-        piv = next((j for j, x in enumerate(w) if x), None)
-        if piv is None:
-            lead = rep[-1]
-            return [x // lead for x in rep]
-        basis.append((piv, w, rep))
-        v = [sum([a * x for a, x in zip(row, v) if x]) for row in A]
-
-
 def krylov_annihilators(T):
     """Yield, for i = 0, 1, ..., n-1, the monic minimal polynomial of the
     Krylov chain e_i, T e_i, T^2 e_i, ... of a square matrix T.
 
-    Over Q the chains run on the integer matrix A = delta*T, delta the least
-    common denominator of T's entries: if sum c_k x^k (degree d, monic) is
-    the annihilator of e_i under A, then sum c_k delta^(k-d) x^k is its
-    annihilator under T.
+    Each chain runs on the integer matrix A = delta*T through a tracked
+    ``Echelon``: over F_p, delta = 1 and each product is reduced mod p; over
+    Q, delta is the least common denominator of T's entries, and if
+    sum c_k x^k (degree d, monic) is the annihilator of e_i under A, then
+    sum c_k delta^(k-d) x^k is its annihilator under T.
     """
     F = T.field
     n = T.nrows
-    if F.char > 0:
-        for i in range(n):
-            yield _local_annihilator(T, i)
-        return
-    delta = lcm(*[x.denominator for row in T.rows for x in row])
-    A = [[x.numerator * (delta // x.denominator) for x in row] for row in T.rows]
+    p = F.char
+    if p:
+        delta, A = 1, T.rows
+    else:
+        delta = lcm(*[x.denominator for row in T.rows for x in row])
+        A = [[x.numerator * (delta // x.denominator) for x in row] for row in T.rows]
+    cols = list(zip(*A))
     for i in range(n):
-        coeffs = _integer_annihilator(A, i)
-        d = len(coeffs) - 1
-        yield Polynomial(F, [Fraction(c, delta ** (d - k)) for k, c in enumerate(coeffs)])
+        echelon = Echelon(F, track=True)
+        v = [0] * n
+        v[i] = 1
+        while (relation := echelon.add(v)) is None:
+            # A v as a combination of the columns at v's support
+            acc = [0] * n
+            for x, col in zip(v, cols):
+                if x:
+                    acc = [a + x * c for a, c in zip(acc, col)]
+            v = [a % p for a in acc] if p else acc
+        if delta > 1:
+            d = len(relation) - 1
+            relation = [c / delta ** (d - k) for k, c in enumerate(relation)]
+        yield Polynomial(F, relation)
 
 
 def minimal_polynomial(T):

@@ -413,6 +413,18 @@ def annihilator_applies(T, v, poly):
     return acc.is_zero()
 
 
+def _dense(v, slots):
+    """The entries of v as a dense list over coordinates: slots maps basis
+    indices to coordinates and gives each index new to it the next free one,
+    so a sparse vector far out on the sequence stays a short list."""
+    for i in v.entries:
+        slots.setdefault(i, len(slots))
+    out = [0] * len(slots)
+    for i, x in v.entries.items():
+        out[slots[i]] = x
+    return out
+
+
 def krylov_torsion(T, v, depth=64):
     """Semi-decision of whether v is annihilated by a nonzero polynomial in
     T.  Builds v, Tv, T^2 v, ... until a linear dependence appears (torsion,
@@ -423,10 +435,11 @@ def krylov_torsion(T, v, depth=64):
     F = check_same_field(T.field, v.field)
     cert = growth_certificate_data(T)
     echelon = Echelon(F, track=True)
+    slots = {}  # in order of first appearance: the relation does not depend on it
     seen_max = -1
     current = v
     for k in range(depth + 1):
-        relation = echelon.add(current.entries)
+        relation = echelon.add(_dense(current, slots))
         if relation is not None:
             poly = Polynomial(F, relation)
             if not annihilator_applies(T, v, poly):
@@ -485,15 +498,21 @@ def torsion_part_on_window(T, window, depth=64):
             return WindowTorsion("unknown", reports=reports)
         if rep.outcome == "torsion":
             torsion_gens.append((w, rep.annihilator))
-    echelon = Echelon(F)
     minpoly = Polynomial.one(F)
+    chains = []
     for w, ann in torsion_gens:
         minpoly = minpoly.lcm(ann)
         chain = w
         for _ in range(ann.degree):
-            echelon.add(chain.entries)
+            chains.append(chain)
             chain = T.apply(chain)
-    basis = [FiniteVector(F, echelon.rows[piv]) for piv in sorted(echelon.rows)]
+    # coordinates in index order, so that each row's pivot is its largest index
+    support = sorted({i for u in chains for i in u.entries})
+    slots = {i: k for k, i in enumerate(support)}
+    echelon = Echelon(F)
+    for u in chains:
+        echelon.add(_dense(u, slots))
+    basis = [FiniteVector(F, zip(support, echelon.rows[piv])) for piv in sorted(echelon.rows)]
     return WindowTorsion("basis", basis=basis, minpoly=minpoly, reports=reports)
 
 

@@ -30,12 +30,6 @@ from .linalg import Echelon, Matrix, Subspace, rref_rows
 from .operators import FiniteVector, Operator
 
 
-def _extends(echelon, vec):
-    """Add the dense vector vec to the echelon; True when it is independent
-    of the rows already there."""
-    return echelon.add(dict(enumerate(vec))) is None
-
-
 class TreeDecomposition:
     __slots__ = ("field", "depth", "window", "nodes", "w")
 
@@ -140,10 +134,10 @@ def _split_case_two(F, M, V, wi, g, pool):
     # independent, put g - a and wi - b on one side, a and b on the other
     echelon = Echelon(F)
     for vec in (g, wi):
-        _extends(echelon, vec)
+        echelon.add(vec)
     picks = []
     for row in pool:
-        if _extends(echelon, row):
+        if echelon.add(row) is None:
             picks.append(row)
             if len(picks) == 2:
                 break
@@ -161,13 +155,13 @@ def _split_case_two(F, M, V, wi, g, pool):
 def _complete(F, seed_vecs, pool, target_dim):
     echelon = Echelon(F)
     for vec in seed_vecs:
-        if not _extends(echelon, vec):
+        if echelon.add(vec) is not None:
             raise VerifyFailed("splitting seed vectors are dependent")
     ext = []
     for row in pool:
         if len(echelon) == target_dim:
             break
-        if _extends(echelon, row):
+        if echelon.add(row) is None:
             ext.append(row)
     if len(echelon) != target_dim:
         raise VerifyFailed("could not complete a node basis")
@@ -243,10 +237,12 @@ def idempotent_family(d, level):
     """Projections onto the level's subspaces along their complements,
     embedded window-only (zero beyond the window), in binary-string order.
 
-    Certifies orthogonality (Binv B = I gives E_a E_b = delta_ab E_a for
-    every pair, since E_a = B_a Binv_a), that the family sums to the
-    identity on the window, and (for levels below the depth) the refinement
-    of each member into its two children.
+    Orthogonality (E_a E_b = delta_ab E_a for every pair, since
+    E_a = B_a Binv_a) follows from Binv B = I, which ``B.inverse()`` has
+    certified: it checks B Binv = I, and a one-sided inverse of a square
+    matrix over a field is two-sided.  Certifies that the family sums to
+    the identity on the window and (for levels below the depth) the
+    refinement of each member into its two children.
     """
     rep = verify(d)
     if not rep.ok:
@@ -254,17 +250,14 @@ def idempotent_family(d, level):
     if not 0 <= level <= d.depth:
         raise ValueError("level out of range")
     F = d.field
-    identity = Matrix.identity(F, d.window)
-    B, Binv, mats = _level_projections(d, level)
-    if Binv * B != identity:
-        raise InvariantViolated("level projections are not orthogonal idempotents")
+    mats = _level_projections(d, level)
     total = Matrix.zeros(F, d.window)
     for _, mat in mats:
         total = total + mat
-    if total != identity:
+    if total != Matrix.identity(F, d.window):
         raise InvariantViolated("level projections do not sum to the identity")
     if level < d.depth:
-        children = dict(_level_projections(d, level + 1)[2])
+        children = dict(_level_projections(d, level + 1))
         for name, mat in mats:
             if mat != children[name + "0"] + children[name + "1"]:
                 raise InvariantViolated(f"projection {name!r} is not the sum of its children")
@@ -272,9 +265,9 @@ def idempotent_family(d, level):
 
 
 def _level_projections(d, level):
-    """(B, Binv, [(name, E_name)]): B has the level's node bases as columns,
-    and E_name = B_name Binv_name is the projection onto the node along the
-    other nodes of the level (B_name its columns, Binv_name its rows)."""
+    """[(name, E_name)]: with B the matrix of the level's node bases as
+    columns, E_name = B_name Binv_name is the projection onto the node along
+    the other nodes of the level (B_name its columns, Binv_name its rows)."""
     F = d.field
     spans = []
     cols = []
@@ -291,7 +284,7 @@ def _level_projections(d, level):
         rows_part = Matrix._of(F, Binv.rows[offset:offset + k])
         out.append((name, block * rows_part))
         offset += k
-    return B, Binv, out
+    return out
 
 
 class EigenSearchReport:
@@ -348,7 +341,7 @@ def no_common_eigenvector(d, through_level):
                 return EigenSearchReport(True, level=m)
     v = list(spaces[0].rows[0])
     for level in range(0, m + 1):
-        for _, E in _level_projections(d, level)[2]:
+        for _, E in _level_projections(d, level):
             img = E.matvec(v)
             if img != [F.zero] * M and img != v:
                 raise InvariantViolated("refinement produced a non-eigenvector")

@@ -113,11 +113,13 @@ def sympy_is_minimal_polynomial(coeffs_low_first, M):
     return True
 
 
-def conjugated(blocks, P):
+def conjugated(blocks, P, p=None):
     """P J P^-1 as rows of Fractions, J block diagonal: ("jordan", lam, k)
     is a k x k Jordan block at lam, ("companion", c) the companion matrix
     of the monic polynomial with coefficients c (lowest first, leading 1
-    omitted).  P must be invertible of the total size."""
+    omitted).  P must be invertible of the total size; with a prime p, P
+    and J hold ints, P must be invertible mod p, and the rows are ints
+    reduced mod p."""
     parts = []
     for block in blocks:
         if block[0] == "jordan":
@@ -135,6 +137,9 @@ def conjugated(blocks, P):
                 J[i, k - 1] = -sympy.Rational(c[i])
         parts.append(J)
     Pm = sym(P)
+    if p is not None:
+        T = Pm * sympy.diag(*parts) * Pm.inv_mod(p)
+        return [[int(T[i, j]) % p for j in range(T.cols)] for i in range(T.rows)]
     T = Pm * sympy.diag(*parts) * Pm.inv()
     return [[Fraction(str(T[i, j])) for j in range(T.cols)] for i in range(T.rows)]
 

@@ -1,12 +1,13 @@
 """Differential tests of the fraction-free linear algebra over Q.
 
 ``rref_rows`` over Q runs Gauss-Jordan on integer rows,
-``minimal_polynomial`` over Q runs its Krylov chains on the integer matrix
-delta*T, and ``Matrix.__mul__`` over Q forms one integer product of the
-operands cleared of their denominators.  They are checked against
-independent references: a plain Gauss-Jordan and a plain triple-loop
-product on Fractions (``oracles.fraction_rref``, ``oracles.fraction_matmul``)
-and sympy.
+``krylov_annihilators`` runs every Krylov chain on the integer matrix
+delta*T through the integer ``Echelon`` (over F_p too, with delta = 1), and
+``Matrix.__mul__`` over Q forms one integer product of the operands cleared
+of their denominators.  They are checked against independent references: a
+plain Gauss-Jordan and a plain triple-loop product on Fractions
+(``oracles.fraction_rref``, ``oracles.fraction_matmul``), the dense Krylov
+annihilator of ``oracles.krylov_annihilator_dense``, and sympy.
 """
 
 import random
@@ -16,13 +17,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diagalg.errors import NotInvertible
-from diagalg.fields import QQ, Polynomial
-from diagalg.linalg import Matrix, minimal_polynomial, rref_rows
+from diagalg.fields import GF, QQ, Polynomial
+from diagalg.linalg import Matrix, krylov_annihilators, minimal_polynomial, rref_rows
 
 from oracles import (
     conjugated,
     fraction_matmul,
     fraction_rref,
+    krylov_annihilator_dense,
+    plain_rank,
     sympy_is_minimal_polynomial,
 )
 
@@ -270,3 +273,54 @@ class TestMinimalPolynomial:
                     * Polynomial(QQ, [-2, 0, 1]))
         assert mu == expected
         assert sympy_is_minimal_polynomial(list(mu.coeffs), T)
+
+
+def fp_blocks(p):
+    """Jordan blocks at any eigenvalue mod p and companion blocks of any
+    monic polynomial of degree 2 or 3; sizes add up to at most 9."""
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("jordan"), st.integers(0, p - 1), st.integers(1, 3)),
+            st.tuples(st.just("companion"),
+                      st.lists(st.integers(0, p - 1), min_size=2, max_size=3)),
+        ),
+        min_size=1, max_size=3,
+    )
+
+
+@st.composite
+def krylov_cases(draw):
+    """(p, T): T = P J P^-1 over Q, P with entries of denominators up to
+    10^6, or over F_2, F_3 or F_65521 (p None for Q)."""
+    p = draw(st.sampled_from([None, 2, 3, 65521]))
+    bs = draw(blocks if p is None else fp_blocks(p))
+    n = sum(_size(b) for b in bs)
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    while True:
+        if p is None:
+            P = [[Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 7, 10**6]))
+                  for _ in range(n)] for _ in range(n)]
+        else:
+            P = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if plain_rank(P, p) == n:
+            return p, conjugated(bs, P, p)
+
+
+class TestKrylovChains:
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(krylov_cases())
+    def test_every_chain_matches_dense_oracle(self, case):
+        p, T = case
+        field = QQ if p is None else GF(p)
+        n = len(T)
+        M = Matrix(field, T)
+        anns = list(krylov_annihilators(M))
+        assert len(anns) == n
+        mu = Polynomial.one(field)
+        for i, ann in enumerate(anns):
+            e = [int(j == i) for j in range(n)]
+            expected = krylov_annihilator_dense(T, e, n, p)
+            assert list(ann.coeffs) == expected
+            mu = mu.lcm(Polynomial(field, expected))
+        # mu is the lcm of the annihilators of a basis: the minimal polynomial
+        assert minimal_polynomial(M) == mu

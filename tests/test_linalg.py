@@ -446,37 +446,81 @@ class TestSubspace:
                 [list(r) for r in A.rows])
 
 
+def _echelon_entry(rng, p):
+    """A small or zero scalar, or over Q a fraction with a denominator of up
+    to 10^6 and a numerator of either sign."""
+    if p is not None:
+        return rng.choice([0, 0, 1, p - 1, rng.randrange(p)])
+    return rng.choice([Fraction(0), Fraction(0), Fraction(rng.randint(-2, 2)),
+                       Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))])
+
+
 class TestEchelon:
     def test_rank_and_relations_match_oracle(self):
         rng = random.Random(83)
-        for _ in range(60):
-            field, p = rng.choice([(QQ, None), (GF(7), 7), (GF(2), 2)])
+        relations = 0
+        for _ in range(150):
+            field, p = rng.choice([(QQ, None), (GF(7), 7), (GF(2), 2), (GF(65521), 65521)])
             n = rng.randint(1, 6)
-            vecs = [[rng.choice([0, 0, 1, 2, -1]) for _ in range(n)]
+            vecs = [[_echelon_entry(rng, p) for _ in range(n)]
                     for _ in range(rng.randint(1, 8))]
+            # scaled copies and sums of earlier vectors give relations with
+            # fractional coefficients before the dimension runs out
+            for _ in range(rng.randint(0, 3)):
+                i, j = rng.randrange(len(vecs)), rng.randrange(len(vecs))
+                s = _echelon_entry(rng, p)
+                vecs.append([field.add(a, field.mul(s, b)) for a, b in zip(vecs[i], vecs[j])])
             echelon = Echelon(field, track=True)
             added = []
             for v in vecs:
-                v = [field.scalar(x) for x in v]
-                relation = echelon.add(dict(enumerate(v)))
+                relation = echelon.add(v)
                 if relation is None:
                     added.append(v)
                     continue
-                # the relation holds over the added vectors, the new one last
+                relations += 1
+                # the relation holds over the added vectors, the new one last,
+                # in field scalars
                 assert len(relation) == len(added) + 1 and relation[-1] == field.one
+                assert all(field.scalar(c) == c and type(c) is type(field.one)
+                           for c in relation)
                 for j in range(n):
                     acc = field.zero
                     for c, u in zip(relation, added + [v]):
                         acc = field.add(acc, field.mul(c, u[j]))
                     assert acc == field.zero
             assert len(echelon) == len(added) == plain_rank(vecs, p)
+        assert relations >= 100
+
+    def test_makes_no_fraction_arithmetic(self, monkeypatch):
+        rng = random.Random(19)
+        vecs = [[_echelon_entry(rng, None) for _ in range(6)] for _ in range(5)]
+        vecs += [[a - Fraction(3, 7) * b for a, b in zip(vecs[0], vecs[4])]]
+        calls = []
+        names = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__truediv__", "__rtruediv__")
+        for name in names:
+            real = getattr(Fraction, name)
+
+            def counted(a, b, real=real):
+                calls.append(1)
+                return real(a, b)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        assert Fraction(2, 3) * 3 - 1 == 1 and len(calls) == 2  # the counter sees both
+        calls.clear()
+        echelon = Echelon(QQ, track=True)
+        results = [echelon.add(v) for v in vecs]
+        assert not calls
+        monkeypatch.undo()
+        assert results[:5] == [None] * 5
+        assert results[5] == [Fraction(-1), 0, 0, 0, Fraction(3, 7), 1]
 
     def test_untracked_reports_dependence_only(self):
         echelon = Echelon(QQ)
-        assert echelon.add({0: 1, 2: 3}) is None
-        assert echelon.add({1: 0}) == []  # the zero vector is always dependent
-        assert echelon.add({0: 2, 2: 6}) == []
-        assert echelon.add({0: 1}) is None and len(echelon) == 2
+        assert echelon.add([1, 0, 3]) is None
+        assert echelon.add([0, 0]) == []  # the zero vector is always dependent
+        assert echelon.add([2, 0, 6]) == []
+        assert echelon.add([1]) is None and len(echelon) == 2
 
     def test_subspace_residue(self):
         S = Subspace.from_vectors(QQ, 3, [[1, 2, 0], [0, 0, 1]])

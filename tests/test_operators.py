@@ -249,6 +249,47 @@ class TestTorsion:
                     last = w.max_index()
         assert checked > 0
 
+    def test_fractional_bands_against_dense_window(self):
+        # random operators with fractional band and correction values (and
+        # some over F_65521); the window holds every index the chain can
+        # reach in depth steps, so the dense oracle is exact there, and
+        # whenever it finds an annihilator the probe reports the same one
+        rng = random.Random(47)
+        depth = 10
+        compared = 0
+        for _ in range(150):
+            field, p = rng.choice([(QQ, None), (QQ, None), (GF(65521), 65521)])
+
+            def scal():
+                if p is not None:
+                    return rng.choice([0, rng.randrange(p)])
+                return rng.choice([Fraction(0), Fraction(rng.randint(-3, 3),
+                                                         rng.choice([1, 2, 7, 10**6]))])
+
+            spec = {}
+            for _ in range(rng.randint(1, 3)):
+                d = rng.randint(-2, 2)
+                # a band below the diagonal starts with zeros
+                spec[d] = ([0] * max(0, -d) + [scal() for _ in range(rng.randint(0, 2))],
+                           [scal() for _ in range(rng.randint(1, 3))])
+            corr = {(rng.randint(0, 4), rng.randint(0, 4)): scal()
+                    for _ in range(rng.randint(0, 3))}
+            T = Operator(field, {d: EPSeq(field, pre, per) for d, (pre, per) in spec.items()},
+                         corr)
+            v = FiniteVector(field, {rng.randint(0, 4): scal() or 1
+                                     for _ in range(rng.randint(1, 3))})
+            window = 5 + depth * max(0, max(spec)) + 1
+            dense = dense_from_spec(window, spec, corr)
+            oracle = krylov_annihilator_dense(dense, v.to_list(window), depth, p)
+            rep = krylov_torsion(T, v, depth=depth)
+            if oracle is None:
+                assert rep.outcome != "torsion"
+                continue
+            compared += 1
+            assert rep.outcome == "torsion" and rep.depth_used == len(oracle) - 1
+            assert list(rep.annihilator.coeffs) == oracle
+        assert compared >= 60
+
     def test_unknown_when_depth_exhausted(self):
         # periodic-band operator whose leading band has zeros in the period:
         # the growth certificate never fires and v_0 cycles upward slowly

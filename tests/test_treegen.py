@@ -241,7 +241,7 @@ def _nce_by_kernels(d, m):
         spaces = [Subspace.from_vectors(
             F, M, [[1 if i == k else 0 for i in range(M)] for k in range(m)])]
     for level in range(m + 1):
-        for _, E in treegen._level_projections(d, level)[2]:
+        for _, E in treegen._level_projections(d, level):
             spaces = [cut for S in spaces for lam in (0, 1)
                       for cut in [S.intersection(_kernel_eigenspace(E, lam))]
                       if not cut.is_zero()]
@@ -268,7 +268,7 @@ class TestCertificatesFromNodes:
         for n, M, seed in [(1, 8, None), (2, 16, 1), (3, 32, 2)]:
             d = treegen.build(n, M, seed=seed)
             for level in range(n + 1):
-                for name, E in treegen._level_projections(d, level)[2]:
+                for name, E in treegen._level_projections(d, level):
                     zero, one = treegen._eigenspaces(d, level, name)
                     assert zero == _kernel_eigenspace(E, 0)
                     assert one == _kernel_eigenspace(E, 1)
@@ -288,9 +288,9 @@ class TestCertificatesFromNodes:
         real = treegen._level_projections
 
         def corrupted(d, level):
-            B, Binv, mats = real(d, level)
+            mats = real(d, level)
             name, E = mats[0]
-            return B, Binv, [(name, E + Matrix.identity(QQ, d.window))] + mats[1:]
+            return [(name, E + Matrix.identity(QQ, d.window))] + mats[1:]
 
         monkeypatch.setattr(treegen, "_level_projections", corrupted)
         for level in (0, 1, 2):

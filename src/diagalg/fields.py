@@ -6,6 +6,9 @@ positive denominator), and prime fields F_p, whose scalars are plain ints
 in [0, p).  Arithmetic is routed through the owning field object, so a
 scalar never crosses between fields unchecked.
 
+Roots are found on int coefficient lists (gcds mod p over F_p, Hensel
+lifting from a small prime over Q, no factoring) and certified by evaluation.
+
 Eventually periodic sequences (preperiod + repeating period) are the finite
 descriptions used for infinite diagonals and bands elsewhere in the package.
 Their normal form -- the unique minimal (preperiod, period) pair -- makes
@@ -14,6 +17,7 @@ equality of the infinite sequences decidable.
 All values are immutable after construction; every function here is pure.
 """
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -24,11 +28,6 @@ from .errors import (
     InvariantViolated,
     ZeroPolynomial,
 )
-
-# Rational root extraction refuses to enumerate divisors of integers beyond
-# this many bits.  Roots over F_p need no such bound: they are split out by
-# gcds with (x+a)^((p-1)/2) - 1, which costs O(log p) polynomial products.
-DEFAULT_MAX_BITS = 256
 
 # Miller-Rabin with the first 13 prime bases is deterministic below this
 # bound (Sorenson-Webster 2015); larger primality claims are refused.
@@ -441,70 +440,6 @@ class SplitsReport:
         return f"No({self.reason})"
 
 
-def _int_divisors(n):
-    n = abs(n)
-    if n.bit_length() > DEFAULT_MAX_BITS:
-        raise CapacityExceeded(f"divisor enumeration on a {n.bit_length()}-bit integer")
-    factors = {}
-    d = 2
-    rest = n
-    while d * d <= rest and d <= 1_000_000:
-        while rest % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            rest //= d
-        d += 1 if d == 2 else 2
-    if rest > 1:
-        # no factor below 1e6, so rest is prime whenever rest < 1e12
-        if rest >= 10**12:
-            raise CapacityExceeded(f"cannot certify factorization of {rest}")
-        factors[rest] = factors.get(rest, 0) + 1
-    divs = [1]
-    for prime, e in factors.items():
-        divs = [d * prime**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def _rational_roots(f):
-    """All rational roots of f over Q, by divisor enumeration on the integer
-    form, with full deflation.  Roots are returned with multiplicity."""
-    F = f.field
-    roots = []
-    # strip zero roots
-    k = 0
-    while k < len(f.coeffs) and f.coeffs[k] == 0:
-        k += 1
-    roots.extend([Fraction(0)] * k)
-    f = Polynomial(F, f.coeffs[k:])
-    while f.degree >= 1:
-        den = 1
-        for c in f.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
-        ints = [c // g for c in ints]
-        found = None
-        for p in _int_divisors(ints[0]):
-            for q in _int_divisors(ints[-1]):
-                if gcd(p, q) != 1:
-                    continue
-                for sign in (1, -1):
-                    r = Fraction(sign * p, q)
-                    if f(r) == 0:
-                        found = r
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots.append(found)
-        f = f // Polynomial(F, [-found, 1])
-    return roots, f
-
-
 # Roots over F_p work on plain int coefficient lists mod p, lowest degree
 # first and trimmed, with monic divisors: Polynomial would re-coerce every
 # coefficient through the field on every operation.
@@ -534,16 +469,19 @@ def _divmod_p(a, b, p):
     return q, r
 
 
-def _mulmod_p(a, b, f, p):
-    """a*b mod the monic f."""
-    if not a or not b:
-        return []
+def _mul(a, b):
+    """The product of two int coefficient lists, unreduced."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _divmod_p(out, f, p)[1]
+    return out
+
+
+def _mulmod_p(a, b, f, p):
+    """a*b mod the monic f."""
+    return _divmod_p(_mul(a, b), f, p)[1]
 
 
 def _powmod_p(b, e, f, p):
@@ -569,6 +507,14 @@ def _eval_p(f, r, p):
     for c in reversed(f):
         acc = (acc * r + c) % p
     return acc
+
+
+def _derivative(f, p=0):
+    """f' of an int coefficient list, reduced mod p unless p is 0, trimmed."""
+    out = [k * c % p if p else k * c for k, c in enumerate(f)][1:]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _certify_roots(f, roots, p):
@@ -625,10 +571,63 @@ def _linear_roots(f, p, h=None):
     return roots
 
 
+def _coprime_z(a, b):
+    """Whether the integer polynomials a and b (deg a >= deg b, b nonzero)
+    are coprime, by the primitive pseudo-remainder sequence."""
+    while len(b) > 1:
+        r = list(a)
+        while len(r) >= len(b):
+            c = r.pop()
+            r = [b[-1] * x for x in r]
+            for i, y in enumerate(b[:-1], len(r) + 1 - len(b)):
+                r[i] -= c * y
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return False
+        g = gcd(*r)
+        a, b = b, [x // g for x in r]
+    return True
+
+
+def _roots_over_q(f):
+    """The sorted distinct rational roots of the monic f over Q, or None
+    when f has a repeated factor: r/delta for the integer roots r of the
+    monic g(y) = delta^d f(y/delta), delta the lcm of f's denominators.
+    Past x^k, the first prime p > 32 with g mod p squarefree keeps them
+    distinct mod p; they are read off every residue (cheaper at such p than
+    _linear_roots), lifted by Newton steps mod p^(2^i) (Loos 1983; von zur
+    Gathen-Gerhard, ch. 15) until it exceeds 2|g(0)|, as each divides g(0),
+    and kept iff g vanishes there.  A repeated factor survives every prime:
+    after three failed primes the PRS of g and g' settles it."""
+    cs, d = f.coeffs, f.degree
+    delta = lcm(*[c.denominator for c in cs])
+    g = [c.numerator * delta ** (d - k) // c.denominator for k, c in enumerate(cs)]
+    k = next(i for i, c in enumerate(g) if c)  # x^k divides g
+    if k > 1:
+        return None
+    g, dg = g[k:], _derivative(g[k:])
+    for tries, p in enumerate(filter(_is_prime, itertools.count(33, 2)), 1):
+        gp = [c % p for c in g]
+        if len(_gcd_p(gp, _derivative(gp, p), p)) == 1:
+            break
+        if tries == 3 and not _coprime_z(g, dg):
+            return None
+    lifts = [r for r in range(p) if not _eval_p(gp, r, p)]
+    q = p
+    while q <= 2 * abs(g[0]):
+        q *= q
+        lifts = [(r - _eval_p(g, r, q) * pow(_eval_p(dg, r, q), -1, q)) % q for r in lifts]
+    lifts = (r - q if 2 * r > q else r for r in lifts)
+    roots = [0] * k + [r for r in lifts if not sum(c * r ** e for e, c in enumerate(g))]
+    return [Fraction(r, delta) for r in sorted(roots)]
+
+
 def poly_roots_in_field(f):
     """The distinct roots of f lying in its own field (irrational or
     extension-field roots are simply not reported).  Over F_p they are the
-    roots of gcd(f, x^p - x), split out by _linear_roots."""
+    roots of gcd(f, x^p - x), split out by _linear_roots; over Q those of
+    the squarefree part, by _roots_over_q."""
     if f.is_zero():
         raise ZeroPolynomial("root extraction on 0")
     F = f.field
@@ -639,8 +638,7 @@ def poly_roots_in_field(f):
         fl = list(f.monic().coeffs)
         xp = _powmod_p([0, 1], p, fl, p)
         return _linear_roots(_gcd_p(fl, _sub_p(xp, [0, 1], p), p), p)
-    roots, _ = _rational_roots(f.monic())
-    return sorted(set(roots))
+    return _roots_over_q(poly_squarefree_part(f))
 
 
 def poly_splits_simply(f):
@@ -651,8 +649,8 @@ def poly_splits_simply(f):
     and splitting in one test.  For odd p it is computed as x * h^2 from
     h = x^((p-1)/2) mod f, and h - 1 is then the first splitting gcd of the
     root extraction (_linear_roots), so no field element is enumerated.
-    Over Q, squarefreeness is checked through gcd(f, f'), then rational
-    roots are extracted by bounded divisor enumeration with full deflation.
+    Over Q nothing is factored: f splits simply iff it is squarefree and
+    _roots_over_q finds deg f roots, each certified by evaluation.
     """
     if f.is_zero():
         raise ZeroPolynomial("splitting test on 0")
@@ -673,13 +671,13 @@ def poly_splits_simply(f):
                 return SplitsReport(False, reason="repeated factor")
             return SplitsReport(False, reason="irreducible factor of degree > 1")
         return SplitsReport(True, roots=_linear_roots(fl, p, h))
-    g = f.gcd(f.derivative())
-    if g.degree > 0:
+    roots = _roots_over_q(f)
+    if roots is None:
         return SplitsReport(False, reason="repeated factor")
-    roots, rest = _rational_roots(f)
-    if rest.degree >= 1:
-        return SplitsReport(False, reason=f"no rational root of residual degree {rest.degree}")
-    return SplitsReport(True, roots=sorted(roots, key=F.sort_key))
+    if len(roots) < f.degree:
+        return SplitsReport(
+            False, reason=f"no rational root of residual degree {f.degree - len(roots)}")
+    return SplitsReport(True, roots=roots)
 
 
 # ---------------------------------------------------------------------------

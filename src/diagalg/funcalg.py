@@ -312,9 +312,11 @@ class CrtSplit:
 
 
 def crt_split(f):
-    """Lagrange idempotents of K[x]/(f) for f a product of distinct linear
-    factors: e_i = prod_{j != i} (x - r_j)/(r_i - r_j) reduced mod f.
-    Verifies e_i^2 = e_i, e_i e_j = 0, sum e_i = 1, and x e_i = r_i e_i."""
+    """Lagrange idempotents e_i = prod_{j != i} (x - r_j)/(r_i - r_j) of
+    K[x]/(f), f = prod (x - r_j) as certified by poly_splits_simply.  As
+    evaluation at the roots maps K[x]/(f) onto K^k and deg e_i < deg f, the
+    laws e_i^2 = e_i, e_i e_j = 0, sum e_i = 1 and x e_i = r_i e_i hold
+    exactly when e_i(r_j) = delta_ij, which is checked."""
     F = f.field
     rep = poly_splits_simply(f)
     if not rep.splits:
@@ -322,28 +324,14 @@ def crt_split(f):
     f = f.monic()
     roots = rep.roots
     idems = []
-    x = Polynomial.x(F)
     for i, ri in enumerate(roots):
-        num = Polynomial.one(F)
-        den = F.one
-        for j, rj in enumerate(roots):
-            if j != i:
-                num = num * Polynomial(F, [F.neg(rj), F.one])
-                den = F.mul(den, F.sub(ri, rj))
-        e = (num * F.inv(den)) % f
-        idems.append(e)
-    total = Polynomial.zero(F)
-    for i, e in enumerate(idems):
-        if (e * e) % f != e:
-            raise InvariantViolated(f"CRT idempotent {i} fails e^2 = e")
-        if (x * e) % f != (e * roots[i]) % f:
-            raise InvariantViolated(f"CRT idempotent {i} fails x e = r e")
-        for j in range(i + 1, len(idems)):
-            if (e * idems[j]) % f != Polynomial.zero(F):
-                raise InvariantViolated(f"CRT idempotents {i} and {j} are not orthogonal")
-        total = total + e
-    if (total % f) != Polynomial.one(F) % f:
-        raise InvariantViolated("CRT idempotents do not sum to 1")
+        q = [F.one]  # f/(x - r_i), leading coefficient first
+        for c in reversed(f.coeffs[1:-1]):
+            q.append(F.add(F.mul(q[-1], ri), c))
+        e = Polynomial(F, q[::-1])
+        idems.append(e * F.inv(e(ri)))
+        if any(idems[i](rj) != (F.one if j == i else F.zero) for j, rj in enumerate(roots)):
+            raise InvariantViolated(f"CRT idempotent {i} is not the indicator of root {i}")
     return CrtSplit(f, roots, idems)
 
 
@@ -375,17 +363,21 @@ class FiniteAlgebra:
             self._validate()
 
     def _validate(self):
-        d = self.dim
-        units = [self.basis_element(i) for i in range(d)]
-        for ei in units:
+        """Unit laws, then associativity by d + 1 products: C (row (i, j):
+        e_i e_j) times [c_mk^l] (row m, column (k, l)) holds (e_i e_j) e_k,
+        and C times [c_im^l] holds e_i (e_j e_k) in row (j, k)."""
+        F, d = self.field, self.dim
+        for i in range(d):
+            ei = self.basis_element(i)
             if self.multiply(self.unit, ei) != ei or self.multiply(ei, self.unit) != ei:
                 raise NotAssociative("unit laws fail")
+        C = Matrix._of(F, [cell for row in self.table for cell in row])
+        left = (C * Matrix._of(F, [sum(row, ()) for row in self.table])).rows
         for i in range(d):
+            right = (C * Matrix._of(F, self.table[i])).rows
             for j in range(d):
                 for k in range(d):
-                    left = self.multiply(self.table[i][j], units[k])
-                    right = self.multiply(units[i], self.table[j][k])
-                    if left != right:
+                    if left[i * d + j][k * d:(k + 1) * d] != right[j * d + k]:
                         raise NotAssociative(f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})")
 
     def multiply(self, x, y):

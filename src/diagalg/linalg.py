@@ -19,10 +19,11 @@ eigenspace refinement.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from . import kernels
 from .errors import InvariantViolated, NotInvertible, NotSquare, SizeMismatch
-from .fields import QQ, Polynomial, check_same_field, poly_splits_simply
+from .fields import QQ, Polynomial, _mul, check_same_field, poly_splits_simply
 
 
 def _primitive(row):
@@ -283,14 +284,6 @@ class Matrix:
 
     def transpose(self):
         return Matrix._of(self.field, zip(*self.rows))
-
-    def trace(self):
-        if not self.is_square():
-            raise NotSquare("trace of a non-square matrix")
-        acc = self.field.zero
-        for i in range(self.nrows):
-            acc = self.field.add(acc, self.rows[i][i])
-        return acc
 
     def is_zero(self):
         z = self.field.zero
@@ -568,54 +561,71 @@ class Echelon:
 # Minimal polynomials and diagonalization
 # ---------------------------------------------------------------------------
 
+def _integer_matrix(T):
+    """(delta, A = delta*T on ints): delta is 1 over F_p, T's lcm denominator over Q."""
+    if T.field.char:
+        return 1, T.rows
+    delta = lcm(*[x.denominator for row in T.rows for x in row])
+    return delta, [[x.numerator * (delta // x.denominator) for x in row] for row in T.rows]
+
+
+def _apply(A, v, p):
+    """A v for the int matrix A (rows), reduced mod p unless p is 0."""
+    return [s % p if p else s for s in (sum(map(mul, row, v)) for row in A)]
+
+
+def _chain_relation(field, A, v):
+    """The monic annihilator of the int vector v under the int matrix A, in field scalars."""
+    p = field.char
+    echelon = Echelon(field, track=True)
+    while (relation := echelon.add(v)) is None:
+        v = _apply(A, v, p)
+    return relation
+
+
+def _under_t(field, coeffs, delta):
+    """A monic annihilator sum c_k x^k (degree d) under A = delta*T, as the
+    one under T: sum c_k delta^(k-d) x^k."""
+    d = len(coeffs) - 1
+    if delta > 1:
+        coeffs = [Fraction(c, delta ** (d - k)) for k, c in enumerate(coeffs)]
+    return Polynomial(field, coeffs)
+
+
 def krylov_annihilators(T):
     """Yield, for i = 0, 1, ..., n-1, the monic minimal polynomial of the
-    Krylov chain e_i, T e_i, T^2 e_i, ... of a square matrix T.
-
-    Each chain runs on the integer matrix A = delta*T through a tracked
-    ``Echelon``: over F_p, delta = 1 and each product is reduced mod p; over
-    Q, delta is the least common denominator of T's entries, and if
-    sum c_k x^k (degree d, monic) is the annihilator of e_i under A, then
-    sum c_k delta^(k-d) x^k is its annihilator under T.
-    """
-    F = T.field
-    n = T.nrows
-    p = F.char
-    if p:
-        delta, A = 1, T.rows
-    else:
-        delta = lcm(*[x.denominator for row in T.rows for x in row])
-        A = [[x.numerator * (delta // x.denominator) for x in row] for row in T.rows]
-    cols = list(zip(*A))
+    Krylov chain e_i, T e_i, T^2 e_i, ... of a square matrix T, run on
+    A = delta*T (``_integer_matrix``)."""
+    F, n = T.field, T.nrows
+    delta, A = _integer_matrix(T)
     for i in range(n):
-        echelon = Echelon(F, track=True)
-        v = [0] * n
-        v[i] = 1
-        while (relation := echelon.add(v)) is None:
-            # A v as a combination of the columns at v's support
-            acc = [0] * n
-            for x, col in zip(v, cols):
-                if x:
-                    acc = [a + x * c for a, c in zip(acc, col)]
-            v = [a % p for a in acc] if p else acc
-        if delta > 1:
-            d = len(relation) - 1
-            relation = [c / delta ** (d - k) for k, c in enumerate(relation)]
-        yield Polynomial(F, relation)
+        yield _under_t(F, _chain_relation(F, A, [int(j == i) for j in range(n)]), delta)
 
 
 def minimal_polynomial(T):
-    """Least-degree monic mu with mu(T) = 0, as the lcm over standard basis
-    vectors of their Krylov annihilators.  Divides the characteristic
-    polynomial."""
+    """Least-degree monic mu with mu(T) = 0, with no polynomial gcd: mu is
+    an int list for A = delta*T (``_integer_matrix``), and for each e_i with
+    w = mu(A) e_i nonzero (Horner), mu times ann(w) = ann(e_i)/gcd(ann(e_i),
+    mu) is lcm(mu, ann(e_i)).  ann(w) divides A's monic integer
+    characteristic polynomial, so it is integral (Gauss's lemma)."""
     if not T.is_square():
         raise NotSquare("minimal polynomial of a non-square matrix")
-    mu = Polynomial.one(T.field)
-    for ann in krylov_annihilators(T):
-        mu = mu.lcm(ann)
-        if mu.degree >= T.nrows:
-            break
-    return mu
+    F, n, p = T.field, T.nrows, T.field.char
+    delta, A = _integer_matrix(T)
+    mu = [1]
+    for i in range(n):
+        w = [int(j == i) for j in range(n)]
+        for c in reversed(mu[:-1]):
+            w = _apply(A, w, p)
+            w[i] = (w[i] + c) % p if p else w[i] + c
+        if any(w):
+            ann = _chain_relation(F, A, w)
+            if any(c.denominator != 1 for c in ann):
+                raise InvariantViolated("non-integral annihilator of an integer Krylov chain")
+            mu = [c % p if p else c for c in _mul(mu, [c.numerator for c in ann])]
+            if len(mu) > n:
+                break
+    return _under_t(F, mu, delta)
 
 
 def poly_at_matrix(poly, T):

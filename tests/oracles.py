@@ -88,29 +88,53 @@ def sympy_charpoly_coeffs(M):
     return [Fraction(str(c)) for c in coeffs]
 
 
-def sympy_poly_at(coeffs_low_first, M):
+def sympy_poly_at(coeffs_low_first, M, p=None):
     """A polynomial (coefficients lowest degree first) evaluated at the
-    square matrix M by Horner, as a sympy matrix."""
+    square matrix M by Horner, as a sympy matrix; entries reduced mod p
+    when a prime p is given."""
     A = sym(M)
     acc = sympy.zeros(A.rows, A.cols)
     for c in reversed(coeffs_low_first):
         acc = acc * A + sympy.Rational(c) * sympy.eye(A.rows)
+        if p is not None:
+            acc = acc.applyfunc(lambda x: x % p)
     return acc
 
 
-def sympy_is_minimal_polynomial(coeffs_low_first, M):
+def sympy_is_minimal_polynomial(coeffs_low_first, M, p=None):
     """True iff the monic polynomial kills M and no proper monic divisor
-    does: mu(M) = 0 and (mu / f)(M) != 0 for each irreducible factor f."""
+    does: mu(M) = 0 and (mu / f)(M) != 0 for each irreducible factor f.
+    With a prime p, M and mu hold ints and everything is taken mod p."""
     x = sympy.Symbol("x")
-    mu = sympy.Poly(list(reversed([sympy.Rational(c) for c in coeffs_low_first])), x)
-    if mu.LC() != 1 or not sympy_poly_at(coeffs_low_first, M).is_zero_matrix:
+    if p is None:
+        mu = sympy.Poly(list(reversed([sympy.Rational(c) for c in coeffs_low_first])), x)
+    else:
+        mu = sympy.Poly(list(reversed(coeffs_low_first)), x, modulus=p)
+    lead = mu.LC() if p is None else int(mu.LC()) % p
+    if lead != 1 or not sympy_poly_at(coeffs_low_first, M, p).is_zero_matrix:
         return False
     _, factors = mu.factor_list()
     for f, _mult in factors:
         quotient = mu.quo(f.monic())
-        if sympy_poly_at(quotient.all_coeffs()[::-1], M).is_zero_matrix:
+        coeffs = [int(c) % p for c in quotient.all_coeffs()] if p else quotient.all_coeffs()
+        if sympy_poly_at(coeffs[::-1], M, p).is_zero_matrix:
             return False
     return True
+
+
+def sympy_rational_roots(coeffs_low_first):
+    """(squarefree, roots) of a nonzero polynomial over Q from sympy's
+    factorization: whether no irreducible factor repeats, and the sorted
+    distinct rational roots as Fractions."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed([sympy.Rational(c) for c in coeffs_low_first])), x)
+    _, factors = poly.factor_list()
+    roots = []
+    for f, _mult in factors:
+        if f.degree() == 1:
+            c1, c0 = f.all_coeffs()
+            roots.append(Fraction(str(sympy.Rational(-c0, c1))))
+    return all(mult == 1 for _, mult in factors), sorted(roots)
 
 
 def conjugated(blocks, P, p=None):
@@ -391,3 +415,20 @@ def brute_normalize_ep(values_fn, pre_bound, per_bound, horizon):
         raise AssertionError("no eventually periodic description within bounds")
     pre_len, per_len = best
     return vals[:pre_len], vals[pre_len:pre_len + per_len]
+
+
+def count_calls(monkeypatch, owner, names):
+    """Count calls of the named methods of ``owner`` in the returned dict,
+    for as long as the monkeypatch lasts.  A counter, not an oracle: it
+    judges how the package computes, not what."""
+    calls = {}
+    for name in names:
+        real = getattr(owner, name)
+        calls[name] = 0
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls

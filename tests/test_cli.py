@@ -278,6 +278,21 @@ class TestCliCommands:
         assert code == 0 and rep["roots"] == ["1 mod 1000000000000000003",
                                               "2 mod 1000000000000000003"]
 
+    def test_large_prime_eigenvalues_over_q(self, capsys):
+        # exit 3 (a capacity error) while rational roots came from divisor
+        # enumeration, which could not factor these
+        for text, eigenvalues in (("[[1000000000039,0],[0,1]]", ["1", "1000000000039"]),
+                                  ("[[1/1000000000039]]", ["1/1000000000039"]),
+                                  ("[[10000000000000061]]", ["10000000000000061"])):
+            code, rep = run_cli(capsys, "diag-finite", "--field", "Q", "--text", text)
+            assert code == 0 and rep["eigenvalues"] == eigenvalues
+        roots = [Fraction(-1, 1000000000039), Fraction(1000000000039), Fraction(10000000000000061)]
+        f = Polynomial.from_roots(QQ, roots)
+        code, rep = run_cli(capsys, "crt", "--field", "Q", "--text", textio.format_polynomial(f))
+        assert code == 0 and rep["verdict"] == "splits"
+        assert rep["roots"] == ["-1/1000000000039", "1000000000039", "10000000000000061"]
+        assert len(rep["idempotents"]) == 3
+
     def test_stdin_input(self, capsys, monkeypatch, tmp_path):
         f = tmp_path / "m.txt"
         f.write_text("[[1,0],[0,1]]")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from diagalg.errors import CapacityExceeded, FieldMismatch, InvariantViolated, ZeroPolynomial
 from diagalg.fields import (
@@ -16,7 +18,7 @@ from diagalg.fields import (
     poly_squarefree_part,
 )
 
-from oracles import brute_normalize_ep, gfp_eval, gfp_radical
+from oracles import brute_normalize_ep, gfp_eval, gfp_radical, sympy_rational_roots
 
 
 def P(field, *coeffs):
@@ -232,10 +234,86 @@ class TestSplitsSimply:
         with pytest.raises(InvariantViolated):
             _certify_roots([1, 6, 0, 0, 0, 0, 0, 1], list(range(7)), 7)
 
-    def test_capacity_guard(self):
-        f = P(QQ, 2 ** 300 + 1, 0, 1)
-        with pytest.raises(CapacityExceeded):
-            poly_splits_simply(f)
+    def test_large_constant_term_decided_exactly(self):
+        # nothing is factored, so a 301-bit constant term is no obstacle
+        rep = poly_splits_simply(P(QQ, 2 ** 300 + 1, 0, 1))
+        assert not rep.splits and rep.reason == "no rational root of residual degree 2"
+        r = Fraction(2 ** 300 + 1)
+        f = Polynomial.from_roots(QQ, [r, Fraction(-3, 7)])
+        assert poly_splits_simply(f).roots == [Fraction(-3, 7), r]
+        assert poly_roots_in_field(f * f * P(QQ, 2, 0, 1)) == [Fraction(-3, 7), r]
+
+
+# primes of 13 to 17 digits, from sympy rather than the package's own test
+BIG_PRIMES = [int(sympy.nextprime(10 ** k + 7 ** k)) for k in range(12, 17)]
+
+rational_roots = st.one_of(
+    st.builds(Fraction, st.integers(-20, 20)),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    st.builds(Fraction, st.sampled_from(BIG_PRIMES + [-q for q in BIG_PRIMES])),
+    st.builds(Fraction, st.sampled_from(BIG_PRIMES), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(BIG_PRIMES)),
+)
+
+# irreducible over Q: x^2 - 2, x^2 + 1, x^2 + x + 1, x^2 - q, x^2 + 3x + q
+irreducible_quadratics = st.sampled_from(
+    [[-2, 0, 1], [1, 0, 1], [1, 1, 1], [-BIG_PRIMES[0], 0, 1], [BIG_PRIMES[4], 3, 1]])
+
+
+@st.composite
+def rational_polynomials(draw):
+    """A nonzero scalar times prod (x - r) over drawn rational roots, some
+    drawn twice, times x^k (k = 0..3) and up to two irreducible quadratics."""
+    roots = draw(st.lists(rational_roots, max_size=5))
+    if roots:
+        roots += draw(st.lists(st.sampled_from(roots), max_size=2))
+    roots += [Fraction(0)] * draw(st.integers(0, 3))
+    f = Polynomial.from_roots(QQ, roots)
+    for q in draw(st.lists(irreducible_quadratics, max_size=2)):
+        f = f * Polynomial(QQ, q)
+    scale = draw(st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)))
+    return f * (scale if draw(st.booleans()) else -scale)
+
+
+class TestRationalRootsAgainstSympy:
+    """Over Q, roots are found on the monic integer form by Hensel lifting
+    from a probe prime; sympy factors the same polynomials."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(rational_polynomials())
+    def test_roots_and_reasons(self, f):
+        squarefree, roots = sympy_rational_roots(list(f.coeffs))
+        assert poly_roots_in_field(f) == (roots if f.degree > 0 else [])
+        rep = poly_splits_simply(f)
+        if not squarefree:
+            assert not rep.splits and rep.reason == "repeated factor"
+        elif len(roots) < f.degree:
+            assert not rep.splits
+            assert rep.reason == f"no rational root of residual degree {f.degree - len(roots)}"
+        else:
+            assert rep.splits and rep.roots == roots
+
+    def test_big_prime_roots_with_small_ones(self):
+        roots = sorted([Fraction(q) for q in BIG_PRIMES] + [Fraction(-1), Fraction(1, 3)])
+        f = Polynomial.from_roots(QQ, roots) * Fraction(5, 7)
+        assert poly_splits_simply(f).roots == roots
+        rep = poly_splits_simply(f * P(QQ, 0, 1))
+        assert rep.roots == sorted(roots + [Fraction(0)])
+        assert poly_splits_simply(f * P(QQ, 0, 0, 1)).reason == "repeated factor"
+
+    def test_squarefree_past_failed_probes(self):
+        # the roots 1..60 are congruent in pairs mod every prime below 60, so
+        # each probe below 61 fails and the integer gcd must say squarefree
+        roots = [Fraction(r) for r in range(1, 61)]
+        assert poly_splits_simply(Polynomial.from_roots(QQ, roots)).roots == roots
+
+    def test_jordan_minimal_polynomials_settle_over_z(self):
+        # (x - r)^2 stays non-squarefree mod every prime: after the probes
+        # the integer gcd with the derivative decides
+        for r in (Fraction(3), Fraction(-7, 2), Fraction(BIG_PRIMES[2], 11)):
+            f = Polynomial.from_roots(QQ, [r, r, 1])
+            assert poly_splits_simply(f).reason == "repeated factor"
+            assert poly_roots_in_field(f) == sorted({r, Fraction(1)})
 
 
 class TestPolynomialRing:

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from diagalg.errors import NotInvertible
 from diagalg.fields import GF, QQ, Polynomial
+from diagalg import linalg
 from diagalg.linalg import Matrix, krylov_annihilators, minimal_polynomial, rref_rows
 
 from oracles import (
@@ -324,3 +325,62 @@ class TestKrylovChains:
             mu = mu.lcm(Polynomial(field, expected))
         # mu is the lcm of the annihilators of a basis: the minimal polynomial
         assert minimal_polynomial(M) == mu
+
+
+# Jordan blocks at eigenvalues with numerators and denominators up to 10^6,
+# and companion blocks of arbitrary monic quadratics; sizes add up to at most 6
+wide_blocks = st.lists(
+    st.one_of(
+        st.tuples(st.just("jordan"),
+                  st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+                  st.integers(1, 3)),
+        st.tuples(st.just("companion"), st.lists(st.integers(-9, 9), min_size=2, max_size=2)),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+@st.composite
+def minimal_polynomial_cases(draw):
+    """(p, T) as ``krylov_cases`` draws them, or over Q with the eigenvalues
+    and companion blocks of ``wide_blocks``."""
+    if draw(st.booleans()):
+        return draw(krylov_cases())
+    bs = draw(wide_blocks)
+    n = sum(_size(b) for b in bs)
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    while True:
+        P = [[Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 7, 10**6]))
+              for _ in range(n)] for _ in range(n)]
+        if plain_rank(P) == n:
+            return None, conjugated(bs, P)
+
+
+class TestMinimalPolynomialWithoutGcd:
+    """``minimal_polynomial`` multiplies mu by the annihilator of mu(A) e_i
+    on int lists instead of taking lcms of Polynomials."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(minimal_polynomial_cases())
+    def test_against_sympy_over_q_and_prime_fields(self, case):
+        p, T = case
+        mu = minimal_polynomial(Matrix(QQ if p is None else GF(p), T))
+        assert mu.is_monic()
+        assert sympy_is_minimal_polynomial(list(mu.coeffs), T, p)
+
+    def test_skips_basis_vectors_already_killed(self, monkeypatch):
+        # diag(1, 1, 2, 2): after e_0, mu = x - 1 kills e_1 and maps e_2 to
+        # itself, whose chain makes mu = (x - 1)(x - 2), which kills e_3
+        chains = []
+        real = linalg._chain_relation
+
+        def counted(field, A, v):
+            chains.append(list(v))
+            return real(field, A, v)
+
+        monkeypatch.setattr(linalg, "_chain_relation", counted)
+        for field in (QQ, GF(5)):
+            chains.clear()
+            mu = minimal_polynomial(Matrix.diagonal(field, [1, 1, 2, 2]))
+            assert mu == Polynomial(field, [2, -3, 1])
+            assert chains == [[1, 0, 0, 0], [0, 0, 1, 0]]

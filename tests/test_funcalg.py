@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from diagalg import funcalg
 from diagalg.errors import (
     DoesNotSplitSimply,
+    InvariantViolated,
     NotAlgebraHom,
     NotAssociative,
     NotSubalgebra,
     UnsupportedCharCase,
 )
-from diagalg.fields import GF, Polynomial, QQ
+from diagalg.fields import GF, Polynomial, QQ, SplitsReport
 from diagalg.funcalg import (
     AlgebraHom,
     FiniteAlgebra,
@@ -37,11 +39,41 @@ from diagalg.funcalg import (
 )
 from diagalg.linalg import Matrix, Subspace
 
-from oracles import fraction_matmul, plain_rank
+from oracles import count_calls, fraction_matmul, plain_rank
 
 
 def P(field, *coeffs):
     return Polynomial(field, list(coeffs))
+
+
+def first_nonassociative_triple(field, table, unit):
+    """The NotAssociative message for the first failure of the unit laws or
+    of (e_i e_j) e_k = e_i (e_j e_k), by plain sums over the structure
+    constants; None when there is none."""
+    d = len(table)
+    F = field
+
+    def dot(terms):
+        acc = F.zero
+        for a, b in terms:
+            acc = F.add(acc, F.mul(a, b))
+        return acc
+
+    for k in range(d):
+        for left in (True, False):
+            for l in range(d):
+                v = dot((unit[m], (table[m][k] if left else table[k][m])[l]) for m in range(d))
+                if v != (F.one if l == k else F.zero):
+                    return "unit laws fail"
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                for l in range(d):
+                    ij_k = dot((table[i][j][m], table[m][k][l]) for m in range(d))
+                    i_jk = dot((table[j][k][m], table[i][m][l]) for m in range(d))
+                    if ij_k != i_jk:
+                        return f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})"
+    return None
 
 
 class TestSpec0:
@@ -190,6 +222,52 @@ class TestCrt:
         split = crt_split(f)
         assert split.roots == [1, 2, 4]
 
+    def test_idempotent_laws_against_sympy(self):
+        import sympy
+        x = sympy.Symbol("x")
+        rng = random.Random(17)
+        big = 10000000000000061
+        for field in (QQ, GF(7), GF(65521)):
+            for _ in range(12):
+                if field == QQ:
+                    pool = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)), Fraction(big),
+                            Fraction(-1, big), Fraction(rng.randint(-10**6, 10**6), 999983)]
+                    roots = set(rng.sample(pool, rng.randint(1, 4)))
+                    roots |= {Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(0, 3))}
+                else:
+                    roots = set(rng.sample(range(field.char), rng.randint(1, 6)))
+                f = Polynomial.from_roots(field, roots) * rng.randint(1, 6)
+                split = crt_split(f)
+                assert split.roots == sorted(roots)
+                modulus = dict(modulus=field.char) if field.char else {}
+                fs = sympy.Poly([sympy.Rational(c) for c in reversed(f.monic().coeffs)], x,
+                                **modulus)
+                es = [sympy.Poly([sympy.Rational(c) for c in reversed(e.coeffs)] or [0], x,
+                                 **modulus) for e in split.idempotents]
+                for i, e in enumerate(es):
+                    assert (e * e - e).rem(fs).is_zero
+                    r = sympy.Rational(split.roots[i])
+                    assert (sympy.Poly(x - r, x, **modulus) * e).rem(fs).is_zero
+                    for other in es[i + 1:]:
+                        assert (e * other).rem(fs).is_zero
+                assert (sum(es[1:], es[0]) - 1).rem(fs).is_zero
+
+    def test_evaluation_certificate_checks_every_root(self, monkeypatch):
+        # wrong roots [1, 3] for (x - 1)(x - 2): the Lagrange construction
+        # still gives e_0(1) = e_1(3) = 1, but e_0(3) = -1
+        monkeypatch.setattr(funcalg, "poly_splits_simply",
+                            lambda f: SplitsReport(True, roots=[Fraction(1), Fraction(3)]))
+        with pytest.raises(InvariantViolated):
+            crt_split(Polynomial.from_roots(QQ, [1, 2]))
+
+    def test_makes_no_polynomial_division(self, monkeypatch):
+        calls = count_calls(monkeypatch, Polynomial, ("gcd", "lcm", "__divmod__"))
+        for field, roots in ((QQ, [Fraction(-3, 7), 0, 2, 10000000000000061]),
+                             (GF(65521), [0, 5, 65520])):
+            split = crt_split(Polynomial.from_roots(field, roots))
+            assert split.roots == sorted(roots)
+        assert calls == {"gcd": 0, "lcm": 0, "__divmod__": 0}
+
 
 class TestFiniteAlgebra:
     def test_associativity_validated(self):
@@ -212,6 +290,35 @@ class TestFiniteAlgebra:
         A = poly_quotient_algebra(QQ, P(QQ, -1, 0, 0, 1))  # x^3 = 1
         x = (0, 1, 0)
         assert A.multiply(x, A.multiply(x, x)) == (1, 0, 0)
+
+    @pytest.mark.parametrize("field", [QQ, GF(3)])
+    def test_validation_matches_triple_loop(self, field):
+        # associative algebras, then each with one structure constant changed,
+        # for e_i e_j with i and j outside the unit's support every other time
+        # (which keeps the unit laws): the first failure names the error
+        rng = random.Random(field.char)
+        algebras = [matrix_algebra(field, 2), upper_triangular_algebra(field, 3),
+                    poly_quotient_algebra(field, P(field, 1, 2, 0, 1)),
+                    product_algebra([matrix_algebra(field, 2), poly_quotient_algebra(
+                        field, P(field, 0, 0, 1))])]
+        for A in algebras:
+            table = [[list(cell) for cell in row] for row in A.table]
+            FiniteAlgebra(field, table, A.unit)
+            off_unit = [m for m in range(A.dim) if A.unit[m] == field.zero]
+            for n in range(20):
+                t = [[list(cell) for cell in row] for row in table]
+                i, j, k = (rng.randrange(A.dim) for _ in range(3))
+                if n % 2:
+                    i, j = rng.choice(off_unit), rng.choice(off_unit)
+                step = field.scalar(rng.choice([1, -2, Fraction(1, 5)]))
+                t[i][j][k] = field.add(t[i][j][k], step)
+                expected = first_nonassociative_triple(field, t, A.unit)
+                if expected is None:
+                    FiniteAlgebra(field, t, A.unit)
+                    continue
+                with pytest.raises(NotAssociative) as exc:
+                    FiniteAlgebra(field, t, A.unit)
+                assert str(exc.value) == expected
 
     def test_matrix_algebra_units(self):
         A = matrix_algebra(QQ, 2)

@@ -21,6 +21,7 @@ from diagalg.linalg import (
 )
 
 from oracles import (
+    count_calls,
     plain_rank,
     plain_solve,
     sympy_charpoly_coeffs,
@@ -231,6 +232,41 @@ class TestDiagonalizeFinite:
                 assert prod == chi
             else:
                 assert not poly_splits_simply(res.mu).splits
+
+    def test_makes_no_polynomial_division(self, monkeypatch):
+        # mu from int-list products, roots without gcds: no Polynomial gcd,
+        # lcm or remainder runs over Q, nor over F_p when T is diagonalizable
+        # (a non-split mu over F_p still names its reason with Polynomial.gcd)
+        calls = count_calls(monkeypatch, Polynomial, ("gcd", "lcm", "__divmod__"))
+        rng = random.Random(8)
+        verdicts = set()
+        for t in range(80):
+            field = (QQ, GF(2), GF(5), GF(65521))[t % 4]
+            T = rand_matrix(rng, field, 4)
+            P = rand_matrix(rng, field, 4)
+            if t % 8 >= 4 and P.rank() == 4:  # P D P^-1, eigenvalues drawn from 0..3
+                T = P * Matrix.diagonal(field, [rng.randrange(4) for _ in range(4)]) * P.inverse()
+            before = dict(calls)
+            res = diagonalize_finite(T)
+            verdicts.add((field.char > 0, res.ok))
+            if field == QQ or res.ok:
+                assert calls == before
+        assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
+        # Jordan blocks: squarefreeness is settled over Z, not by Polynomial.gcd
+        half = Fraction(1, 2)
+        for entries in ([[1, 1], [0, 1]], [[half, 1, 0], [0, half, 0], [0, 0, 5]]):
+            assert not diagonalize_finite(Matrix(QQ, entries)).ok
+        assert calls["lcm"] == 0
+
+    def test_large_prime_eigenvalues_over_q(self):
+        # the old divisor enumeration refused these as capacity errors
+        big = 10000000000000061
+        for entries, eigenvalues in (
+                ([[1000000000039, 0], [0, 1]], [1, 1000000000039]),
+                ([[Fraction(1, 1000000000039)]], [Fraction(1, 1000000000039)]),
+                ([[big, 1], [0, -big]], [-big, big])):
+            res = diagonalize_finite(Matrix(QQ, entries))
+            assert res.ok and res.eigenvalues == eigenvalues
 
     def test_fp_diagonalizable_iff_power_identity(self):
         rng = random.Random(6)

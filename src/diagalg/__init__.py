@@ -14,26 +14,20 @@ from .linalg import (
     commutant,
     diagonalize_finite,
     minimal_polynomial,
-    restriction_vanishes,
     simultaneous_diagonalize_finite,
 )
 from .operators import (
     FiniteVector,
     Operator,
     closure_membership,
-    diagonalizable_completion,
-    eventually_diagonal_diagonalize,
     finite_field_diag_check,
     krylov_torsion,
-    prop_operator_check,
-    torsion_part_on_window,
 )
 from .idempotents import (
     ExplicitFamily,
     PartitionFamily,
     PatternFamily,
     common_eigenvector_search,
-    lub_check,
     product_family,
     simultaneous_diagonalize_families,
     summability,
@@ -43,19 +37,16 @@ from .funcalg import (
     AlgebraHom,
     FiniteAlgebra,
     FunctionAlgebra,
-    Partition,
     SetMap,
     classical_equivalences,
     crt_split,
     double_commutant_check,
     dual_map,
-    partition_subalgebra,
     radical,
     radical_of_product,
     regular_representation,
     spec0,
     spec_of_hom,
-    subalgebra_partition,
 )
 from . import treegen
 

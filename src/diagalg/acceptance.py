@@ -129,7 +129,8 @@ def _random_partition_family(rng, field):
 
 def criterion_2(seed):
     """Summability: the non-summable pattern family, summable partitions and
-    explicit families with verified sums, and summable subfamilies."""
+    explicit families with verified sums, and summable subfamilies whose
+    sums are least upper bounds: above each member, below the family sum."""
     start = time.time()
     rng = _rng(seed, "summability")
     failures = []
@@ -156,6 +157,15 @@ def criterion_2(seed):
             partial = partial + m
         if sub_rep.sum != partial or not sub_rep.sum.is_idempotent():
             failures.append(f"subfamily sum wrong for partition #{t}")
+            continue
+        # the subfamily sum is the least upper bound of its members: each
+        # member sits below it, and it sits below the family sum, another
+        # upper bound (f <= g means f g = g f = f)
+        s, e = sub_rep.sum, rep.sum
+        if any(m * s != m or s * m != m for m in keep):
+            failures.append(f"a member of subfamily #{t} is not below its sum")
+        elif s * e != s or e * s != s:
+            failures.append(f"subfamily sum of partition #{t} not below the family sum")
     for t in range(20):
         field = (QQ, GF(3))[t % 2]
         k = rng.randint(1, 4)

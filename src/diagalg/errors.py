@@ -54,18 +54,6 @@ class WrongField(AlgebraError):
     pass
 
 
-class NotEventuallyDiagonal(AlgebraError):
-    pass
-
-
-class DuplicateLambda(AlgebraError):
-    pass
-
-
-class FieldTooSmall(AlgebraError):
-    pass
-
-
 # -- idempotents -------------------------------------------------------------
 
 class InvalidFamily(AlgebraError):
@@ -73,10 +61,6 @@ class InvalidFamily(AlgebraError):
 
 
 class NotSummable(AlgebraError):
-    pass
-
-
-class NotIdempotent(AlgebraError):
     pass
 
 
@@ -99,10 +83,6 @@ class VerifyFailed(AlgebraError):
 
 
 # -- funcalg -----------------------------------------------------------------
-
-class NotSubalgebra(AlgebraError):
-    pass
-
 
 class NotAlgebraHom(AlgebraError):
     pass

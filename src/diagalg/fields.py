@@ -335,12 +335,6 @@ class Polynomial:
             return a
         return a.monic()
 
-    def lcm(self, other):
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero(self.field)
-        g = self.gcd(other)
-        return ((self * other) // g).monic()
-
     def derivative(self):
         F = self.field
         return Polynomial(F, [F.mul(F.scalar(k), c) for k, c in enumerate(self.coeffs)][1:])
@@ -352,18 +346,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = F.add(F.mul(acc, x), c)
         return acc
-
-    def pow_mod(self, exp, mod):
-        """self**exp reduced mod ``mod``, by square and multiply."""
-        F = check_same_field(self.field, mod.field)
-        result = Polynomial.one(F) % mod
-        base = self % mod
-        while exp:
-            if exp & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            exp >>= 1
-        return result
 
     def __repr__(self):
         if self.is_zero():
@@ -783,18 +765,8 @@ class EPSeq:
     def is_zero(self):
         return not self.pre and self.per == (self.field.zero,)
 
-    def eventually_zero(self):
-        return self.per == (self.field.zero,)
-
     def period_nowhere_zero(self):
         return all(self.per)
-
-    def value_set(self):
-        return set(self.pre) | set(self.per)
-
-    def support_in_pre(self):
-        """Indices below the preperiod length with a nonzero value."""
-        return [i for i, c in enumerate(self.pre) if c]
 
     def _binop(self, other, op):
         F = check_same_field(self.field, other.field)

@@ -1,6 +1,6 @@
 """Finite function algebras K^X, their duality with finite sets, CRT
-idempotent splitting, partitions as subalgebras, and radical computations
-for structure-constant algebras.
+idempotent splitting, and radical computations for structure-constant
+algebras.
 
 K^X is the product algebra of K-valued tuples on X = {0, ..., n-1} with
 pointwise operations.  Its maximal ideals are the vanishing ideals of the
@@ -26,7 +26,6 @@ from .errors import (
     NotAlgebraHom,
     NotAssociative,
     NotSquare,
-    NotSubalgebra,
     SizeMismatch,
     UnsupportedCharCase,
 )
@@ -220,81 +219,6 @@ def spec_of_hom(h):
 
 
 # ---------------------------------------------------------------------------
-# Partitions and subalgebras of K^X
-# ---------------------------------------------------------------------------
-
-
-class Partition:
-    """Surjection X -> blocks, blocks numbered by first appearance."""
-
-    __slots__ = ("size", "block_of", "blocks")
-
-    def __init__(self, size, block_of):
-        block_of = list(block_of)
-        if len(block_of) != size:
-            raise SizeMismatch("one block per point required")
-        relabel = {}
-        canon = []
-        for b in block_of:
-            canon.append(relabel.setdefault(b, len(relabel)))
-        self.size = size
-        self.block_of = tuple(canon)
-        self.blocks = tuple(
-            tuple(x for x in range(size) if self.block_of[x] == k)
-            for k in range(len(relabel)))
-
-    def __eq__(self, other):
-        return (isinstance(other, Partition) and self.size == other.size
-                and self.block_of == other.block_of)
-
-    def __hash__(self):
-        return hash((self.size, self.block_of))
-
-    def __repr__(self):
-        return f"partition {list(self.block_of)}"
-
-
-def partition_subalgebra(field, partition):
-    """The block-indicator subalgebra of K^X attached to a partition,
-    returned as (the abstract K^blocks, its indicator basis inside K^X)."""
-    F = field
-    k = len(partition.blocks)
-    basis = []
-    for b in range(k):
-        basis.append(tuple(F.one if partition.block_of[x] == b else F.zero
-                           for x in range(partition.size)))
-    return FunctionAlgebra(F, k), basis
-
-
-def subalgebra_partition(field, size, basis):
-    """The partition of X induced by a unital subalgebra basis of K^X
-    (points collapse when every basis element agrees on them)."""
-    F = field
-    vecs = [tuple(F.scalar(x) for x in v) for v in basis]
-    for v in vecs:
-        if len(v) != size:
-            raise SizeMismatch("basis vector length differs from the point count")
-    span = Matrix(F, [list(v) for v in vecs]) if vecs else Matrix(F, [])
-    if not vecs:
-        raise NotSubalgebra("empty basis")
-    span_t = span.transpose()
-    one = [F.one] * size
-    if span_t.solve(one) is None:
-        raise NotSubalgebra("does not contain the unit")
-    for i in range(len(vecs)):
-        for j in range(i, len(vecs)):
-            prod = [F.mul(a, b) for a, b in zip(vecs[i], vecs[j])]
-            if span_t.solve(prod) is None:
-                raise NotSubalgebra("not closed under products")
-    signature = {}
-    labels = []
-    for x in range(size):
-        sig = tuple(v[x] for v in vecs)
-        labels.append(signature.setdefault(sig, len(signature)))
-    return Partition(size, labels)
-
-
-# ---------------------------------------------------------------------------
 # CRT splitting of K[x]/(f)
 # ---------------------------------------------------------------------------
 
@@ -446,16 +370,18 @@ def poly_quotient_algebra(field, f):
     d = f.degree
     if d == 0:
         return FiniteAlgebra(field, [], [], validate=False)
-    x = Polynomial.x(field)
-    table = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            prod = (x.pow_mod(i, f) * x.pow_mod(j, f)) % f
-            row.append([prod.coeff(k) for k in range(d)])
-        table.append(row)
-    unit = [field.one] + [field.zero] * (d - 1)
-    return FiniteAlgebra(field, table, unit, validate=False)
+    # x^k mod f for k <= 2d - 2, each from the one before: shift up by one
+    # and replace x^d by -(f_0 + ... + f_(d-1) x^(d-1))
+    tail = f.coeffs[:d]
+    powers = [[field.one] + [field.zero] * (d - 1)]
+    for _ in range(2 * d - 2):
+        prev = powers[-1]
+        top = prev[-1]
+        shifted = [field.zero] + prev[:-1]
+        powers.append([field.sub(c, field.mul(top, t)) for c, t in zip(shifted, tail)]
+                      if top else shifted)
+    table = [[powers[i + j] for j in range(d)] for i in range(d)]
+    return FiniteAlgebra(field, table, powers[0], validate=False)
 
 
 def matrix_algebra(field, n):

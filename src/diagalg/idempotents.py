@@ -23,7 +23,6 @@ from .errors import (
     InvalidFamily,
     InvariantViolated,
     NonCommuting,
-    NotIdempotent,
     NotSummable,
     UnrepresentableSum,
 )
@@ -384,53 +383,6 @@ def summability(family):
     if not total.is_idempotent():
         raise InvariantViolated("pattern family sum is not idempotent")
     return SummabilityReport(True, total)
-
-
-class LubReport:
-    __slots__ = ("premise_left", "premise_right", "premise_both",
-                 "sum_left", "sum_right", "sum_both", "consistent")
-
-    def __init__(self, pl, pr, pb, sl, sr, sb):
-        self.premise_left = pl
-        self.premise_right = pr
-        self.premise_both = pb
-        self.sum_left = sl
-        self.sum_right = sr
-        self.sum_both = sb
-        # upper-bound law: if every member sits below f, so does the sum
-        self.consistent = ((not pl or sl) and (not pr or sr) and (not pb or sb))
-
-    def __repr__(self):
-        return (f"LubReport(premises l={self.premise_left} r={self.premise_right} "
-                f"both={self.premise_both}; sum l={self.sum_left} r={self.sum_right} "
-                f"both={self.sum_both}; consistent={self.consistent})")
-
-
-def lub_check(family, f):
-    """Check, in each idempotent ordering, whether every member sits below f
-    and whether the sum does; the least-upper-bound law (members below f
-    implies sum below f) is asserted on the instance.
-
-    e <=_l f means ef = e; e <=_r f means fe = e; <= is both.  Infinite
-    pattern families are probed on their first 24 members.
-    """
-    if not f.is_idempotent():
-        raise NotIdempotent("comparison element is not idempotent")
-    rep = summability(family)
-    if not rep.summable:
-        raise NotSummable(f"family is not summable (witness j={rep.witness_index})")
-    e = rep.sum
-    members = family.members(24) if family.kind == "pattern" else family.members()
-    pl = all((m * f) == m for m in members)
-    pr = all((f * m) == m for m in members)
-    pb = pl and pr
-    sl = (e * f) == e
-    sr = (f * e) == e
-    sb = sl and sr
-    report = LubReport(pl, pr, pb, sl, sr, sb)
-    if not report.consistent:
-        raise InvariantViolated("least-upper-bound law failed on this instance")
-    return report
 
 
 def _combined_partition(E, F_fam):

@@ -846,10 +846,3 @@ def joint_eigenprojections(Ts):
         offset += len(block)
     return out
 
-
-def restriction_vanishes(T, W):
-    """True iff T w = 0 for every basis row of the subspace W."""
-    if T.ncols != W.ambient:
-        raise SizeMismatch("operator and subspace ambient dimensions differ")
-    zero = T.field.zero
-    return all(all(x == zero for x in T.matvec(list(row))) for row in W.rows)

@@ -19,14 +19,7 @@ the closure of the set of diagonalizable operators.
 from math import lcm
 from operator import add, mul
 
-from .errors import (
-    DuplicateLambda,
-    FieldTooSmall,
-    InvariantViolated,
-    NegativeIndexLeak,
-    NotEventuallyDiagonal,
-    WrongField,
-)
+from .errors import InvariantViolated, NegativeIndexLeak, WrongField
 from .fields import EPSeq, Polynomial, check_same_field, poly_splits_simply
 from .linalg import (
     Echelon,
@@ -212,22 +205,6 @@ class Operator:
 
     def preperiod_bound(self):
         return max((len(s.pre) for s in self.bands.values()), default=0)
-
-    def is_eventually_diagonal(self):
-        return all(seq.eventually_zero() for d, seq in self.bands.items() if d != 0)
-
-    def off_diagonal_entries(self):
-        """All nonzero entries off the main diagonal; finite only when the
-        operator is eventually diagonal."""
-        if not self.is_eventually_diagonal():
-            raise NotEventuallyDiagonal("off-diagonal part is infinite")
-        out = []
-        for d, seq in self.bands.items():
-            if d == 0:
-                continue
-            for j in seq.support_in_pre():
-                out.append((j + d, j, seq.pre[j]))
-        return out
 
     def __eq__(self, other):
         return (
@@ -462,60 +439,6 @@ def krylov_torsion(T, v, depth=64):
     return TorsionReport("unknown", depth_used=depth)
 
 
-class WindowTorsion:
-    __slots__ = ("outcome", "basis", "minpoly", "reports")
-
-    def __init__(self, outcome, basis=None, minpoly=None, reports=None):
-        self.outcome = outcome
-        self.basis = basis
-        self.minpoly = minpoly
-        self.reports = reports
-
-    def __repr__(self):
-        if self.outcome == "basis":
-            return f"Basis(dim={len(self.basis)}, minpoly={self.minpoly})"
-        return "Unknown"
-
-
-def torsion_part_on_window(T, window, depth=64):
-    """Torsion vectors reachable from the window generators: runs the
-    Krylov probe per generator, keeps the torsion ones with their full
-    cyclic chains (closed under T by construction), and reports the minimal
-    polynomial of T on that span (the lcm of the generator annihilators).
-
-    Unknown if any generator is unresolved at this depth.  Torsion hidden in
-    cross-generator combinations of certified-free generators is not
-    enumerated; the closure test reports its answers as semi-decided
-    whenever that gap could matter.
-    """
-    F = T.field
-    reports = []
-    torsion_gens = []
-    for w in window:
-        rep = krylov_torsion(T, w, depth)
-        reports.append(rep)
-        if rep.outcome == "unknown":
-            return WindowTorsion("unknown", reports=reports)
-        if rep.outcome == "torsion":
-            torsion_gens.append((w, rep.annihilator))
-    minpoly = Polynomial.one(F)
-    chains = []
-    for w, ann in torsion_gens:
-        minpoly = minpoly.lcm(ann)
-        chain = w
-        for _ in range(ann.degree):
-            chains.append(chain)
-            chain = T.apply(chain)
-    # coordinates in index order, so that each row's pivot is its largest index
-    support = sorted({i for u in chains for i in u.entries})
-    slots = {i: k for k, i in enumerate(support)}
-    echelon = Echelon(F)
-    for u in chains:
-        echelon.add(_dense(u, slots))
-    basis = [FiniteVector(F, zip(support, echelon.rows[piv])) for piv in sorted(echelon.rows)]
-    return WindowTorsion("basis", basis=basis, minpoly=minpoly, reports=reports)
-
-
 # ---------------------------------------------------------------------------
 # Closure of the diagonalizable operators
 # ---------------------------------------------------------------------------
@@ -572,6 +495,11 @@ def closure_membership(T, window, depth=64):
     always exact: it carries a verified torsion vector whose annihilator
     fails to split simply.  ``depth`` bounds the Krylov probes of the window
     route only.
+
+    The window route probes each window vector by itself and answers
+    unknown at the first one left unresolved.  Torsion hidden in
+    combinations across generators is not enumerated, which is why its
+    InClosure answers are semi-decided.
     """
     F = T.field
     if F.char > 0:
@@ -607,11 +535,14 @@ def closure_membership(T, window, depth=64):
             witness=witness, witness_annihilator=ann,
             detail="torsion part carries a non-semisimple block",
         )
-    tw = torsion_part_on_window(T, window, depth)
-    if tw.outcome == "unknown":
-        return ClosureReport("unknown", semi_decided=True,
-                             detail="torsion status unresolved at this depth")
-    for w, rep in zip(window, tw.reports):
+    reports = []
+    for w in window:
+        rep = krylov_torsion(T, w, depth)
+        if rep.outcome == "unknown":
+            return ClosureReport("unknown", semi_decided=True,
+                                 detail="torsion status unresolved at this depth")
+        reports.append(rep)
+    for w, rep in zip(window, reports):
         if rep.outcome == "torsion" and not poly_splits_simply(rep.annihilator).splits:
             return ClosureReport(
                 "not_in_closure", semi_decided=False,
@@ -641,111 +572,3 @@ def _nonsplit_witness(T, basis_rows, X):
                 raise InvariantViolated(f"Krylov relation {ann} does not annihilate {v}")
             return v, ann
     raise InvariantViolated("no witness in a non-diagonalizable torsion part")
-
-
-# ---------------------------------------------------------------------------
-# Eventually diagonal operators
-# ---------------------------------------------------------------------------
-
-class EvDiagResult:
-    __slots__ = ("ok", "core_p", "core_d", "tail", "window", "mu_core")
-
-    def __init__(self, ok, core_p=None, core_d=None, tail=None, window=0, mu_core=None):
-        self.ok = ok
-        self.core_p = core_p
-        self.core_d = core_d
-        self.tail = tail
-        self.window = window
-        self.mu_core = mu_core
-
-    def __bool__(self):
-        return self.ok
-
-
-class SpectrumReport:
-    """Eigenvalues of an eventually diagonal operator: window eigenvalues
-    with verified eigenvectors plus the diagonal tail values."""
-
-    __slots__ = ("eigen", "tail_values")
-
-    def __init__(self, eigen, tail_values):
-        self.eigen = eigen
-        self.tail_values = tail_values
-
-
-def eventually_diagonal_diagonalize(T):
-    """Split an eventually diagonal operator into an invariant finite window
-    plus a diagonal tail, and diagonalize the window block.  The operator is
-    diagonalizable iff the window block is."""
-    F = T.field
-    if not T.is_eventually_diagonal():
-        raise NotEventuallyDiagonal("operator has a non-vanishing off-diagonal band")
-    m = 0
-    for (i, j, _val) in T.off_diagonal_entries():
-        m = max(m, i + 1, j + 1)
-    diag = T.bands.get(0, EPSeq.zero(F))
-    m = max(m, len(diag.pre))
-    core = T.truncate(m)
-    tail = diag.shift(m)
-    res = diagonalize_finite(core)
-    if res.ok:
-        return EvDiagResult(True, core_p=res.p, core_d=res.d, tail=tail, window=m)
-    return EvDiagResult(False, tail=tail, window=m, mu_core=res.mu)
-
-
-def spectrum(T):
-    """SpectrumReport for an eventually diagonal operator; every reported
-    eigenvalue has a verified eigenvector."""
-    F = T.field
-    res = eventually_diagonal_diagonalize(T)
-    if not res.ok:
-        raise NotEventuallyDiagonal("window block is not diagonalizable")
-    eigen = []
-    m = res.window
-    for idx in range(m):
-        lam = res.core_d.rows[idx][idx]
-        col = res.core_p.col(idx)
-        v = FiniteVector(F, {i: x for i, x in enumerate(col)})
-        if T.apply(v) != v.scale(lam):
-            raise InvariantViolated("window eigenvector fails T v = lambda v")
-        eigen.append((lam, v))
-    tail_vals = res.tail.value_set()
-    for lam in sorted(tail_vals, key=F.sort_key):
-        for j in range(m, m + len(res.tail.pre) + len(res.tail.per)):
-            if T.entry(j, j) == lam:
-                v = FiniteVector.basis(F, j)
-                if T.apply(v) != v.scale(lam):
-                    raise InvariantViolated("tail eigenvector fails T v = lambda v")
-                eigen.append((lam, v))
-                break
-    return SpectrumReport(eigen, sorted(tail_vals, key=F.sort_key))
-
-
-def prop_operator_check(T, window, lambdas):
-    """True iff the product of the (T - lambda_i) kills every window vector,
-    computed by the apply chain without materializing the product.  The
-    empty product is the identity."""
-    F = T.field
-    lam = [F.scalar(x) for x in lambdas]
-    if len(set(lam)) != len(lam):
-        raise DuplicateLambda("eigenvalue list has repeats")
-    for w in window:
-        u = w
-        for x in lam:
-            u = T.apply(u) - u.scale(x)
-        if not u.is_zero():
-            return False
-    return True
-
-
-def diagonalizable_completion(n, field):
-    """The (n+1) x (n+1) companion matrix of prod_{i=0..n} (x - lambda_i)
-    for the canonical distinct scalars 0, 1, ..., n; diagonalizable by
-    construction.  Over F_p this needs n < p."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if field.char > 0 and n >= field.char:
-        raise FieldTooSmall(f"need {n + 1} distinct scalars in F_{field.char}")
-    roots = [field.scalar(i) for i in range(n + 1)]
-    poly = Polynomial.from_roots(field, roots)
-    return Matrix.companion(poly)

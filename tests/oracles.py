@@ -122,6 +122,19 @@ def sympy_is_minimal_polynomial(coeffs_low_first, M, p=None):
     return True
 
 
+def sympy_x_power_mod(e, coeffs_low_first, p=None):
+    """x^e mod f, from sympy, as a low-first list with no trailing zeros:
+    Fractions over Q, or with a prime p ints in [0, p) over F_p."""
+    x = sympy.Symbol("x")
+    opts = {} if p is None else {"modulus": p}
+    f = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs_low_first)], x, **opts)
+    rem = reversed(sympy.Poly(x**e, x, **opts).rem(f).all_coeffs())
+    r = [Fraction(int(c.p), int(c.q)) if p is None else int(c) % p for c in rem]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
 def sympy_rational_roots(coeffs_low_first):
     """(squarefree, roots) of a nonzero polynomial over Q from sympy's
     factorization: whether no irreducible factor repeats, and the sorted
@@ -426,9 +439,9 @@ def count_calls(monkeypatch, owner, names):
         real = getattr(owner, name)
         calls[name] = 0
 
-        def counted(*args, real=real, name=name):
+        def counted(*args, real=real, name=name, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
     return calls

@@ -323,13 +323,6 @@ class TestPolynomialRing:
         q, r = divmod(f, g)
         assert q * g + r == f and r.is_zero()
         assert f.gcd(g) == P(QQ, 1, 1)
-        assert f.lcm(g) == f
-
-    def test_pow_mod(self):
-        F = GF(5)
-        f = P(F, 1, 1, 1)
-        x = Polynomial.x(F)
-        assert x.pow_mod(5, f) == (x * x * x * x * x) % f
 
 
 class TestEPSeq:

@@ -317,14 +317,13 @@ class TestKrylovChains:
         M = Matrix(field, T)
         anns = list(krylov_annihilators(M))
         assert len(anns) == n
-        mu = Polynomial.one(field)
+        mu = minimal_polynomial(M)
+        assert sympy_is_minimal_polynomial(list(mu.coeffs), T, p)
         for i, ann in enumerate(anns):
             e = [int(j == i) for j in range(n)]
-            expected = krylov_annihilator_dense(T, e, n, p)
-            assert list(ann.coeffs) == expected
-            mu = mu.lcm(Polynomial(field, expected))
-        # mu is the lcm of the annihilators of a basis: the minimal polynomial
-        assert minimal_polynomial(M) == mu
+            assert list(ann.coeffs) == krylov_annihilator_dense(T, e, n, p)
+            # the annihilator of each basis vector divides mu
+            assert (mu % ann).is_zero()
 
 
 # Jordan blocks at eigenvalues with numerators and denominators up to 10^6,

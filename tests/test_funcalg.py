@@ -10,7 +10,6 @@ from diagalg.errors import (
     InvariantViolated,
     NotAlgebraHom,
     NotAssociative,
-    NotSubalgebra,
     UnsupportedCharCase,
 )
 from diagalg.fields import GF, Polynomial, QQ, SplitsReport
@@ -18,14 +17,12 @@ from diagalg.funcalg import (
     AlgebraHom,
     FiniteAlgebra,
     FunctionAlgebra,
-    Partition,
     SetMap,
     classical_equivalences,
     crt_split,
     double_commutant_check,
     dual_map,
     matrix_algebra,
-    partition_subalgebra,
     poly_quotient_algebra,
     product_algebra,
     quotient_algebra,
@@ -34,12 +31,11 @@ from diagalg.funcalg import (
     regular_representation,
     spec0,
     spec_of_hom,
-    subalgebra_partition,
     upper_triangular_algebra,
 )
 from diagalg.linalg import Matrix, Subspace
 
-from oracles import count_calls, fraction_matmul, plain_rank
+from oracles import count_calls, fraction_matmul, plain_rank, sympy_x_power_mod
 
 
 def P(field, *coeffs):
@@ -148,47 +144,6 @@ class TestDuality:
         assert spec_of_hom(h) == phi
 
 
-class TestPartitions:
-    def test_discrete_partition_full_algebra(self):
-        part = Partition(3, [0, 1, 2])
-        algebra, basis = partition_subalgebra(QQ, part)
-        assert algebra.size == 3
-        assert sorted(basis) == sorted([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-
-    def test_single_block_scalars(self):
-        part = Partition(4, [0, 0, 0, 0])
-        algebra, basis = partition_subalgebra(QQ, part)
-        assert algebra.size == 1 and basis == [(1, 1, 1, 1)]
-
-    def test_round_trip_two_blocks(self):
-        part = Partition(4, [0, 0, 1, 1])
-        _, basis = partition_subalgebra(QQ, part)
-        back = subalgebra_partition(QQ, 4, basis)
-        assert back == part
-        # exhaustive value-pattern oracle: points x, x' collapse iff all
-        # basis vectors agree there
-        for x, y in itertools.combinations(range(4), 2):
-            same = all(b[x] == b[y] for b in basis)
-            assert (part.block_of[x] == part.block_of[y]) == same
-
-    def test_round_trip_random(self):
-        rng = random.Random(53)
-        for _ in range(40):
-            field = rng.choice([QQ, GF(2), GF(5)])
-            n = rng.randint(1, 6)
-            part = Partition(n, [rng.randint(0, 2) for _ in range(n)])
-            _, basis = partition_subalgebra(field, part)
-            assert subalgebra_partition(field, n, basis) == part
-
-    def test_non_subalgebra_rejected(self):
-        # span{(1, -1)} misses the unit
-        with pytest.raises(NotSubalgebra):
-            subalgebra_partition(QQ, 2, [(1, -1)])
-        # contains the unit but is not closed under products
-        with pytest.raises(NotSubalgebra):
-            subalgebra_partition(QQ, 3, [(1, 1, 1), (0, 1, 2)])
-
-
 class TestCrt:
     def test_two_point_split(self):
         split = crt_split(P(QQ, 0, -1, 0, 0) + P(QQ, 0, 0, 1))  # x^2 - x
@@ -261,12 +216,12 @@ class TestCrt:
             crt_split(Polynomial.from_roots(QQ, [1, 2]))
 
     def test_makes_no_polynomial_division(self, monkeypatch):
-        calls = count_calls(monkeypatch, Polynomial, ("gcd", "lcm", "__divmod__"))
+        calls = count_calls(monkeypatch, Polynomial, ("gcd", "__divmod__"))
         for field, roots in ((QQ, [Fraction(-3, 7), 0, 2, 10000000000000061]),
                              (GF(65521), [0, 5, 65520])):
             split = crt_split(Polynomial.from_roots(field, roots))
             assert split.roots == sorted(roots)
-        assert calls == {"gcd": 0, "lcm": 0, "__divmod__": 0}
+        assert calls == {"gcd": 0, "__divmod__": 0}
 
 
 class TestFiniteAlgebra:
@@ -290,6 +245,25 @@ class TestFiniteAlgebra:
         A = poly_quotient_algebra(QQ, P(QQ, -1, 0, 0, 1))  # x^3 = 1
         x = (0, 1, 0)
         assert A.multiply(x, A.multiply(x, x)) == (1, 0, 0)
+
+    @pytest.mark.parametrize("p", [None, 2, 101])
+    def test_poly_quotient_table_matches_sympy(self, p):
+        # e_i e_j = x^(i+j) mod f, for non-monic f over Q
+        field = QQ if p is None else GF(p)
+        rng = random.Random(p)
+        for d in range(1, 9):
+            if p is None:
+                coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
+                coeffs.append(rng.choice([1, 3]))
+            else:
+                coeffs = [rng.randrange(p) for _ in range(d)] + [1]
+            A = poly_quotient_algebra(field, Polynomial(field, coeffs))
+            assert A.unit == tuple(field.scalar(int(k == 0)) for k in range(d))
+            for i in range(d):
+                for j in range(d):
+                    expected = sympy_x_power_mod(i + j, coeffs, p)
+                    expected += [0] * (d - len(expected))
+                    assert list(A.table[i][j]) == [field.scalar(c) for c in expected]
 
     @pytest.mark.parametrize("field", [QQ, GF(3)])
     def test_validation_matches_triple_loop(self, field):

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from diagalg.errors import InvalidFamily, NotIdempotent, NotSummable
+from diagalg.errors import InvalidFamily, NotSummable
 from diagalg.fields import EPSeq, GF, QQ
 from diagalg.idempotents import (
     ExplicitFamily,
     PartitionFamily,
     PatternFamily,
     common_eigenvector_search,
-    lub_check,
     product_family,
     simultaneous_diagonalize_families,
     summability,
@@ -132,37 +131,6 @@ class TestSummability:
         E = Operator.matrix_unit(QQ, 0, 0)
         with pytest.raises(InvalidFamily):
             summability(ExplicitFamily(QQ, [E, E]))
-
-
-class TestLub:
-    def test_two_units_below_identity(self):
-        fam = ExplicitFamily(QQ, [Operator.matrix_unit(QQ, 0, 0),
-                                  Operator.matrix_unit(QQ, 1, 1)])
-        rep = lub_check(fam, Operator.identity(QQ))
-        assert rep.premise_both and rep.sum_both and rep.consistent
-
-    def test_premise_fails_harmlessly(self):
-        fam = ExplicitFamily(QQ, [Operator.matrix_unit(QQ, 0, 0)])
-        rep = lub_check(fam, Operator.matrix_unit(QQ, 1, 1))
-        assert not rep.premise_left and not rep.premise_right
-        assert rep.consistent  # vacuous
-
-    def test_even_odd_vs_own_sum(self):
-        fam = even_odd()
-        e = summability(fam).sum
-        rep = lub_check(fam, e)
-        assert rep.premise_both and rep.sum_both
-        # dense cross-check of e*f = e on a 12-window with padding
-        dense_e = [[e.entry(i, j) for j in range(12)] for i in range(12)]
-        assert mat_mul(dense_e, dense_e) == dense_e
-
-    def test_non_idempotent_rejected(self):
-        with pytest.raises(NotIdempotent):
-            lub_check(even_odd(), Operator.shift(QQ))
-
-    def test_not_summable_rejected(self):
-        with pytest.raises(NotSummable):
-            lub_check(paper_pattern_family(), Operator.identity(QQ))
 
 
 class TestProducts:

@@ -4,33 +4,30 @@ from fractions import Fraction
 import pytest
 
 from diagalg import operators
-from diagalg.errors import (
-    DuplicateLambda,
-    FieldTooSmall,
-    InvariantViolated,
-    NotEventuallyDiagonal,
-    WrongField,
-)
+from diagalg.errors import InvariantViolated, WrongField
 from diagalg.fields import EPSeq, GF, Polynomial, QQ, poly_splits_simply
-from diagalg.linalg import Matrix, diagonalize_finite, minimal_polynomial
+from diagalg.linalg import Echelon, Matrix, minimal_polynomial
 from diagalg.operators import (
     FiniteVector,
     Operator,
     annihilator_applies,
     closure_membership,
-    diagonalizable_completion,
-    eventually_diagonal_diagonalize,
     finite_field_diag_check,
     growth_certificate_data,
     krylov_torsion,
     largest_invariant_subspace,
-    prop_operator_check,
-    spectrum,
-    torsion_part_on_window,
 )
 from diagalg.acceptance import random_operator
 
-from oracles import dense_from_spec, krylov_annihilator_dense, mat_mul, mat_vec, upper_left
+from oracles import (
+    count_calls,
+    dense_from_spec,
+    krylov_annihilator_dense,
+    mat_mul,
+    mat_vec,
+    sympy_x_power_mod,
+    upper_left,
+)
 
 
 def vec(field, *entries):
@@ -190,10 +187,8 @@ class TestFiniteFieldCheck:
             T = Operator(field, {0: diag}, corr)
             m = max(4, T.preperiod_bound()) + 2
             window = T.truncate(m)
-            mu = minimal_polynomial(window)
-            x = Polynomial.x(field)
-            divides = (x.pow_mod(p, mu) - x % mu) % mu if mu.degree > 0 else None
-            window_ok = mu.degree == 0 or divides.is_zero()
+            mu = list(minimal_polynomial(window).coeffs)
+            window_ok = sympy_x_power_mod(p, mu, p) == sympy_x_power_mod(1, mu, p)
             assert finite_field_diag_check(T) == window_ok
 
 
@@ -311,34 +306,6 @@ class TestTorsion:
             krylov_torsion(D, FiniteVector.basis(QQ, 0))
 
 
-class TestTorsionWindow:
-    def test_shift_window_is_free(self):
-        out = torsion_part_on_window(Operator.shift(QQ), [FiniteVector.basis(QQ, 0)])
-        assert out.outcome == "basis" and out.basis == []
-
-    def test_diagonal_window_all_torsion(self):
-        D = Operator.diagonal(QQ, EPSeq(QQ, [], [1, 2]))
-        out = torsion_part_on_window(
-            D, [FiniteVector.basis(QQ, 0), FiniteVector.basis(QQ, 1)])
-        assert out.outcome == "basis" and len(out.basis) == 2
-
-    def test_shift_with_nilpotent_head(self):
-        # v_1 -> v_0 -> 0 on the head; v_j -> v_{j+1} for j >= 2
-        T = Operator(QQ, {1: EPSeq(QQ, [0, 0], [1])}, {(0, 1): 1})
-        window = [FiniteVector.basis(QQ, i) for i in range(3)]
-        out = torsion_part_on_window(T, window, depth=30)
-        assert out.outcome == "basis"
-        span = {tuple(sorted(b.entries.items())) for b in out.basis}
-        assert len(out.basis) == 2
-        assert all(b.max_index() <= 1 for b in out.basis)
-        assert out.minpoly == Polynomial(QQ, [0, 0, 1])
-        # dense oracle: inside a 30-window the head vectors are annihilated,
-        # the tail vector is not (within depth)
-        dense = dense_from_spec(34, {1: ([0, 0], [1])}, {(0, 1): 1})
-        assert krylov_annihilator_dense(dense, [0, 1] + [0] * 32, 8) == [0, 0, 1]
-        assert krylov_annihilator_dense(dense, [0, 0, 1] + [0] * 31, 30) is None
-
-
 class TestClosure:
     def test_shift_over_q_exact(self):
         rep = closure_membership(Operator.shift(QQ), [FiniteVector.basis(QQ, 0)])
@@ -440,6 +407,56 @@ class TestClosure:
         rep = closure_membership(D, [FiniteVector.basis(QQ, 0)])
         assert rep.outcome == "in_closure" and rep.semi_decided
 
+    # (bands {offset: (pre, per)}, corrections, window indices, whether the
+    # window route answers, outcome, semi_decided, witness index or None)
+    CASES = [
+        # the shift: its growth certificate decides
+        ({1: ([], [1])}, {}, [0], False, "in_closure", False, None),
+        # a shift of the even indices: no certificate, and v_0 never dies
+        ({2: ([], [1, 0])}, {}, [0], True, "unknown", True, None),
+        # a two-value diagonal: every window vector is torsion, split simply
+        ({0: ([], [1, 2])}, {}, [0, 1], True, "in_closure", True, None),
+        # the shift with a nilpotent head, v_1 -> v_0 -> 0
+        ({1: ([0, 0], [1])}, {(0, 1): 1}, [0, 1, 2], False, "not_in_closure", False, 1),
+        # the same head before a shift of the even indices: v_1 has
+        # annihilator x^2, and v_2 never dies
+        ({2: ([0, 0], [1, 0])}, {(0, 1): 1}, [0, 1], True, "not_in_closure", False, 1),
+        # every window vector is probed before any annihilator is tested, so
+        # the unresolved v_2 makes the answer unknown
+        ({2: ([0, 0], [1, 0])}, {(0, 1): 1}, [1, 2], True, "unknown", True, None),
+    ]
+
+    @pytest.mark.parametrize(
+        "bands, corr, window, window_route, outcome, semi, witness", CASES,
+        ids=["shift", "even-shift", "two-value-diagonal", "nilpotent-head",
+             "nilpotent-head-even-shift", "nilpotent-head-unresolved"])
+    def test_window_cases(self, bands, corr, window, window_route, outcome, semi,
+                          witness):
+        T = Operator(QQ, {d: EPSeq(QQ, pre, per) for d, (pre, per) in bands.items()}, corr)
+        assert (growth_certificate_data(T) is None) == window_route
+        rep = closure_membership(T, [FiniteVector.basis(QQ, i) for i in window])
+        assert (rep.outcome, rep.semi_decided) == (outcome, semi)
+        if witness is None:
+            assert rep.witness is None and rep.witness_annihilator is None
+            return
+        assert rep.witness == FiniteVector.basis(QQ, witness)
+        assert rep.witness_annihilator == Polynomial(QQ, [0, 0, 1])
+        # dense oracle on a window wide enough for the head
+        dense = dense_from_spec(12, bands, corr)
+        e = [int(i == witness) for i in range(12)]
+        assert krylov_annihilator_dense(dense, e, 8) == [0, 0, 1]
+
+    def test_window_route_builds_only_the_probes(self, monkeypatch):
+        # one Echelon per Krylov probe of a window vector, and no basis of
+        # the torsion span besides
+        built = count_calls(monkeypatch, Echelon, ("__init__",))
+        probes = count_calls(monkeypatch, operators, ("krylov_torsion",))
+        D = Operator.diagonal(QQ, EPSeq(QQ, [], [1, 2]))
+        window = [vec(QQ, (0, 1)), vec(QQ, (1, 1)), vec(QQ, (0, 1), (3, 1))]
+        rep = closure_membership(D, window)
+        assert rep.outcome == "in_closure" and rep.semi_decided
+        assert probes == {"krylov_torsion": 3} and built == {"__init__": 3}
+
     def test_fp_total_matches_power_test(self):
         rng = random.Random(37)
         for _ in range(40):
@@ -452,86 +469,6 @@ class TestClosure:
     def test_window_required_over_q(self):
         with pytest.raises(ValueError):
             closure_membership(Operator.shift(QQ), [])
-
-
-class TestEventuallyDiagonal:
-    def test_pure_diagonal(self):
-        D = Operator.diagonal(QQ, EPSeq.constant(QQ, 4))
-        res = eventually_diagonal_diagonalize(D)
-        assert res.ok and res.window == 0 and res.tail == EPSeq.constant(QQ, 4)
-
-    def test_jordan_head_blocks(self):
-        # diagonal tail of 3s with a nilpotent 2x2 head: not diagonalizable
-        T = Operator(QQ, {0: EPSeq(QQ, [0, 0], [3])}, {(0, 1): 1})
-        res = eventually_diagonal_diagonalize(T)
-        assert not res.ok
-        from oracles import sympy_rational_diagonalizable
-        m = res.window
-        dense = [[T.entry(i, j) for j in range(m + 5)] for i in range(m + 5)]
-        assert not sympy_rational_diagonalizable(dense)
-        assert res.mu_core == Polynomial(QQ, [0, 0, 1])
-
-    def test_staircase_diagonal(self):
-        D = Operator.diagonal(QQ, EPSeq(QQ, [1, 2], [3]))
-        res = eventually_diagonal_diagonalize(D)
-        assert res.ok
-        sp = spectrum(D)
-        assert sp.tail_values == [Fraction(3)]
-        assert {lam for lam, _ in sp.eigen} == {Fraction(1), Fraction(2), Fraction(3)}
-
-    def test_rejects_shift(self):
-        with pytest.raises(NotEventuallyDiagonal):
-            eventually_diagonal_diagonalize(Operator.shift(QQ))
-
-
-class TestPropOperator:
-    def test_two_value_diagonal(self):
-        D = Operator.diagonal(QQ, EPSeq(QQ, [1, 2], [2]))
-        W = [FiniteVector.basis(QQ, 0), FiniteVector.basis(QQ, 1)]
-        assert prop_operator_check(D, W, [1, 2])
-
-    def test_empty_product_is_identity(self):
-        D = Operator.diagonal(QQ, EPSeq.constant(QQ, 5))
-        assert not prop_operator_check(D, [FiniteVector.basis(QQ, 0)], [])
-
-    def test_shift_never_annihilated(self):
-        S = Operator.shift(QQ)
-        W = [FiniteVector.basis(QQ, 0)]
-        for lams in ([0], [0, 1], [1, 2, 3]):
-            assert not prop_operator_check(S, W, lams)
-            # dense apply-chain oracle
-            dense = dense_from_spec(10, {1: ([], [1])})
-            u = [1] + [0] * 9
-            for lam in lams:
-                u = [a - lam * b for a, b in zip(mat_vec(dense, u), u)]
-            assert any(x != 0 for x in u)
-
-    def test_duplicate_lambda_rejected(self):
-        with pytest.raises(DuplicateLambda):
-            prop_operator_check(Operator.shift(QQ), [], [1, 1])
-
-
-class TestCompletion:
-    def test_degree_zero(self):
-        C = diagonalizable_completion(0, QQ)
-        assert C == Matrix(QQ, [[0]])
-
-    def test_degree_one_companion(self):
-        C = diagonalizable_completion(1, QQ)
-        assert C == Matrix(QQ, [[0, 0], [1, 1]])
-        res = diagonalize_finite(C)
-        assert res.ok and res.eigenvalues == [Fraction(0), Fraction(1)]
-
-    def test_all_pass_diagonalization(self):
-        for n in range(0, 5):
-            res = diagonalize_finite(diagonalizable_completion(n, QQ))
-            assert res.ok and len(set(res.eigenvalues)) == n + 1
-        res = diagonalize_finite(diagonalizable_completion(4, GF(5)))
-        assert res.ok
-
-    def test_field_too_small(self):
-        with pytest.raises(FieldTooSmall):
-            diagonalizable_completion(2, GF(2))
 
 
 class TestGrowthCertificate:

@@ -69,3 +69,22 @@ def test_every_module_level_name_is_used():
                 used |= refs
     dead = [name for name in defined if name.split(".", 1)[1] not in used]
     assert not dead, f"module-level names nothing refers to: {dead}"
+
+
+def test_every_export_is_reached_outside_the_tests():
+    """Every name the package's ``__init__`` imports is referenced somewhere
+    in the package outside its own definition and ``__init__``, or in the
+    benchmark: an export that only its own tests reach is a dead wrapper."""
+    init = SOURCE / "__init__.py"
+    exported = [alias.asname or alias.name for stmt in ast.parse(init.read_text()).body
+                if isinstance(stmt, ast.ImportFrom) for alias in stmt.names]
+    used = set()
+    paths = [path for path in sorted(SOURCE.glob("*.py")) if path != init]
+    for path in paths + sorted((SOURCE.parents[1] / "perfbench").rglob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            refs = _references(stmt)
+            if path.parent == SOURCE and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                refs.discard(stmt.name)
+            used |= refs
+    unreached = [name for name in exported if name not in used]
+    assert not unreached, f"exports only the tests reach: {unreached}"

@@ -98,9 +98,6 @@ class Rationals:
             raise ZeroDivisionError("division by 0")
         return a / b
 
-    def sort_key(self, a):
-        return a
-
     def format_scalar(self, a):
         return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator)
 
@@ -165,9 +162,6 @@ class PrimeField:
     def div(self, a, b):
         return (a * self.inv(b)) % self.p
 
-    def sort_key(self, a):
-        return a
-
     def format_scalar(self, a):
         return f"{a} mod {self.p}"
 
@@ -224,10 +218,6 @@ class Polynomial:
     @classmethod
     def zero(cls, field):
         return cls(field, [])
-
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, [c])
 
     @classmethod
     def one(cls, field):

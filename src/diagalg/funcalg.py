@@ -481,7 +481,7 @@ def radical(A):
         t = [sum((A.table[k][a][a] for a in range(d)), F.zero) for k in range(d)]
         gram = [[sum((c * tk for c, tk in zip(cell, t)), F.zero) for cell in row]
                 for row in A.table]
-        return Subspace.from_vectors(F, d, Matrix(F, gram).kernel_basis())
+        return Subspace(F, d, Matrix(F, gram).kernel_basis())
     if not A.is_commutative():
         raise UnsupportedCharCase("char-p radical needs a commutative algebra")
     p = F.char
@@ -490,7 +490,7 @@ def radical(A):
         q *= p
     cols = [list(A.power(A.basis_element(i), q)) for i in range(d)]
     frob = Matrix.from_cols(F, cols)
-    return Subspace.from_vectors(F, d, frob.kernel_basis())
+    return Subspace(F, d, frob.kernel_basis())
 
 
 def quotient_algebra(A, J):

@@ -338,8 +338,8 @@ class SummabilityReport:
 
 
 def summability(family):
-    """Decide summability through the per-basis-vector support oracle and,
-    in the summable case, build the sum in the banded representation.
+    """Decide summability from the family's kind and terms and, in the
+    summable case, build the sum in the banded representation.
 
     For a partition family the supports are singletons and the members sum
     to the identity.  A finite explicit family is always summable.  A

@@ -736,7 +736,7 @@ def commutant(gens):
                     row[a * n + j] = F.sub(row[a * n + j], T.rows[i][a])
                 constraints.append(row)
     M = Matrix._of(F, constraints)
-    return Subspace.from_vectors(F, n * n, M.kernel_basis())
+    return Subspace(F, n * n, M.kernel_basis())
 
 
 def matrix_from_vec(field, flat, n):

@@ -496,10 +496,11 @@ def closure_membership(T, window, depth=64):
     fails to split simply.  ``depth`` bounds the Krylov probes of the window
     route only.
 
-    The window route probes each window vector by itself and answers
-    unknown at the first one left unresolved.  Torsion hidden in
-    combinations across generators is not enumerated, which is why its
-    InClosure answers are semi-decided.
+    The window route probes the window vectors in order and returns the
+    first whose annihilator fails to split simply, even past an unresolved
+    one; failing that, an unresolved vector makes the answer unknown.
+    Torsion hidden in combinations across generators is not enumerated,
+    which is why its InClosure answers are semi-decided.
     """
     F = T.field
     if F.char > 0:
@@ -535,20 +536,20 @@ def closure_membership(T, window, depth=64):
             witness=witness, witness_annihilator=ann,
             detail="torsion part carries a non-semisimple block",
         )
-    reports = []
+    unresolved = False
     for w in window:
         rep = krylov_torsion(T, w, depth)
         if rep.outcome == "unknown":
-            return ClosureReport("unknown", semi_decided=True,
-                                 detail="torsion status unresolved at this depth")
-        reports.append(rep)
-    for w, rep in zip(window, reports):
-        if rep.outcome == "torsion" and not poly_splits_simply(rep.annihilator).splits:
+            unresolved = True
+        elif rep.outcome == "torsion" and not poly_splits_simply(rep.annihilator).splits:
             return ClosureReport(
                 "not_in_closure", semi_decided=False,
                 witness=w, witness_annihilator=rep.annihilator,
                 detail="window vector with non-split-simple annihilator",
             )
+    if unresolved:
+        return ClosureReport("unknown", semi_decided=True,
+                             detail="torsion status unresolved at this depth")
     return ClosureReport(
         "in_closure", semi_decided=True,
         detail="no obstruction found on the supplied window",

@@ -160,6 +160,16 @@ class TestCliCommands:
         assert probe.outcome == "torsion" and probe.annihilator == ann
         assert annihilator_applies(T, witness, ann)
 
+    def test_closure_window_witness_past_unresolved_vector(self, capsys):
+        # no growth certificate; v_2 never dies under the even shift, and
+        # v_1 -> v_0 -> 0 gives the exact witness x^2 in either window order
+        ops = "field Q\nband 2: pre=[0,0] per=[1,0]\nband -1: pre=[0,1] per=[0]"
+        for window in ("vec 1:1\nvec 2:1", "vec 2:1\nvec 1:1"):
+            code, rep = run_cli(capsys, "closure", "--text", f"{ops}\n{window}")
+            assert code == 1 and rep["verdict"] == "not_in_closure"
+            assert rep["witness"] == "vec 1:1" and rep["witness_annihilator"] == "[0,0,1]"
+            assert rep["semi_decided"] is False
+
     def test_closure_growth_witness_beyond_depth(self, capsys):
         # the torsion part is span(v_0, v_1) with annihilator x^2 - 2, of
         # degree above --depth: depth bounds the window route only, so the

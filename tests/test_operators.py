@@ -421,15 +421,17 @@ class TestClosure:
         # the same head before a shift of the even indices: v_1 has
         # annihilator x^2, and v_2 never dies
         ({2: ([0, 0], [1, 0])}, {(0, 1): 1}, [0, 1], True, "not_in_closure", False, 1),
-        # every window vector is probed before any annihilator is tested, so
-        # the unresolved v_2 makes the answer unknown
-        ({2: ([0, 0], [1, 0])}, {(0, 1): 1}, [1, 2], True, "unknown", True, None),
+        # v_2 is left unresolved, but v_1's verified annihilator x^2 is an
+        # exact witness, whichever of the two comes first in the window
+        ({2: ([0, 0], [1, 0])}, {(0, 1): 1}, [1, 2], True, "not_in_closure", False, 1),
+        ({2: ([0, 0], [1, 0])}, {(0, 1): 1}, [2, 1], True, "not_in_closure", False, 1),
     ]
 
     @pytest.mark.parametrize(
         "bands, corr, window, window_route, outcome, semi, witness", CASES,
         ids=["shift", "even-shift", "two-value-diagonal", "nilpotent-head",
-             "nilpotent-head-even-shift", "nilpotent-head-unresolved"])
+             "nilpotent-head-even-shift", "nilpotent-head-unresolved",
+             "nilpotent-head-unresolved-first"])
     def test_window_cases(self, bands, corr, window, window_route, outcome, semi,
                           witness):
         T = Operator(QQ, {d: EPSeq(QQ, pre, per) for d, (pre, per) in bands.items()}, corr)

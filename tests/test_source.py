@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -51,24 +52,60 @@ def _references(stmt):
     return words
 
 
+def _statements():
+    """(path, module-level statement) over the package, the tests and the
+    benchmark."""
+    root = SOURCE.parents[1]
+    for base in (root / "src", Path(__file__).parent, root / "perfbench"):
+        for path in sorted(base.rglob("*.py")):
+            for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+                yield path, stmt
+
+
 def test_every_module_level_name_is_used():
     """Every module-level function and class of the package is referenced
     outside its own definition, somewhere in the package, the tests or the
     benchmark."""
-    root = SOURCE.parents[1]
     defined = []
     used = set()
-    for base in (root / "src", Path(__file__).parent, root / "perfbench"):
-        for path in sorted(base.rglob("*.py")):
-            in_package = path.parent == SOURCE
-            for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-                refs = _references(stmt)
-                if in_package and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                    defined.append(f"{path.stem}.{stmt.name}")
-                    refs.discard(stmt.name)
-                used |= refs
+    for path, stmt in _statements():
+        refs = _references(stmt)
+        if path.parent == SOURCE and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(f"{path.stem}.{stmt.name}")
+            refs.discard(stmt.name)
+        used |= refs
     dead = [name for name in defined if name.split(".", 1)[1] not in used]
     assert not dead, f"module-level names nothing refers to: {dead}"
+
+
+def _called_implicitly(cls, name):
+    """Dunder methods and overrides of a base class's method are reached
+    through the protocol or the base class, not by their name."""
+    return (name.startswith("__") and name.endswith("__")
+            or any(name in vars(base) for base in cls.__mro__[1:]))
+
+
+def test_every_method_is_used():
+    """Every method defined on a package class is referenced by name outside
+    its own definition, somewhere in the package, the tests or the
+    benchmark."""
+    defined = []
+    used = set()
+    for path, stmt in _statements():
+        if path.parent != SOURCE or not isinstance(stmt, ast.ClassDef):
+            used |= _references(stmt)
+            continue
+        cls = getattr(importlib.import_module(f"diagalg.{path.stem}"), stmt.name)
+        for node in stmt.bases + stmt.keywords + stmt.decorator_list:
+            used |= _references(node)
+        for item in stmt.body:
+            refs = _references(item)
+            if isinstance(item, ast.FunctionDef) and not _called_implicitly(cls, item.name):
+                defined.append(f"{path.stem}.{stmt.name}.{item.name}")
+                refs.discard(item.name)
+            used |= refs
+    dead = [name for name in defined if name.rsplit(".", 1)[1] not in used]
+    assert not dead, f"methods nothing refers to: {dead}"
 
 
 def test_every_export_is_reached_outside_the_tests():

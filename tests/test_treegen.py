@@ -8,7 +8,7 @@ from diagalg.linalg import Matrix, Subspace
 from diagalg import treegen
 from diagalg.treegen import TreeDecomposition
 
-from oracles import sympy_rank
+from oracles import count_calls, sympy_rank
 
 
 class TestBuild:
@@ -124,6 +124,16 @@ class TestIdempotentFamily:
         for label, op in zip(labels1, level1):
             assert op == by_label[label + "0"] + by_label[label + "1"]
 
+    def test_one_inverse_per_call(self, monkeypatch):
+        # the refinement into children is certified by verify's clause b,
+        # not by inverting the next level's basis
+        d = treegen.build(3, 32, seed=1)
+        calls = count_calls(monkeypatch, Matrix, ("inverse",))
+        for level in range(d.depth + 1):
+            calls["inverse"] = 0
+            treegen.idempotent_family(d, level)
+            assert calls == {"inverse": 1}
+
     def test_projection_ranges(self):
         d = treegen.build(1, 8)
         ops = treegen.idempotent_family(d, 1)
@@ -150,6 +160,52 @@ class TestNoCommonEigenvector:
         for seed in range(3):
             d = treegen.build(2, 16, seed=seed)
             assert treegen.no_common_eigenvector(d, 2).confirmed
+
+    def test_one_cut_per_space_and_node(self, monkeypatch):
+        # with verify stubbed out, the refinement intersects each candidate
+        # space once with each node of the level and builds no subspace
+        # outside those intersections: no complement of a node
+        real_cut = Subspace.intersection
+        real_build = Subspace.from_vectors.__func__
+        cuts = []
+        inside = []
+        built = []
+
+        def cut(S, V):
+            cuts.append((S, V))
+            inside.append(True)
+            try:
+                return real_cut(S, V)
+            finally:
+                inside.pop()
+
+        def build(cls, field, ambient, vectors):
+            if not inside:
+                built.append(len(vectors))
+            return real_build(cls, field, ambient, vectors)
+
+        for n, M, seed in [(2, 16, 1), (3, 32, 2)]:
+            d = treegen.build(n, M, seed=seed)
+            for m in range(n + 1):
+                expected = []
+                spaces = [Subspace.full(QQ, M)] if m == 0 else [Subspace.from_vectors(
+                    QQ, M, [[int(i == k) for i in range(M)] for k in range(m)])]
+                for level in range(m + 1):
+                    nodes = [d.nodes[name] for name in treegen.strings(level)]
+                    expected += [(S, V) for S in spaces for V in nodes]
+                    spaces = [c for S in spaces for V in nodes
+                              for c in [S.intersection(V)] if not c.is_zero()]
+                    if not spaces:
+                        break
+                cuts.clear()
+                built.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(treegen, "verify", lambda d: treegen.VerifyReport(True))
+                    patch.setattr(Subspace, "intersection", cut)
+                    patch.setattr(Subspace, "from_vectors", classmethod(build))
+                    rep = treegen.no_common_eigenvector(d, m)
+                assert rep.confirmed == (m > 0)
+                assert cuts == expected and built == []
 
 
 class TestDiscreteness:
@@ -269,9 +325,13 @@ class TestCertificatesFromNodes:
             d = treegen.build(n, M, seed=seed)
             for level in range(n + 1):
                 for name, E in treegen._level_projections(d, level):
-                    zero, one = treegen._eigenspaces(d, level, name)
-                    assert zero == _kernel_eigenspace(E, 0)
-                    assert one == _kernel_eigenspace(E, 1)
+                    # the level's nodes are a direct sum of the window: the
+                    # projection onto a node kills exactly the other nodes
+                    others = Subspace.from_vectors(
+                        QQ, M, [row for other in treegen.strings(level) if other != name
+                                for row in d.nodes[other].rows])
+                    assert others == _kernel_eigenspace(E, 0)
+                    assert d.nodes[name] == _kernel_eigenspace(E, 1)
 
     def test_no_common_eigenvector_matches_kernel_refinement(self):
         for n, M, seed in [(1, 8, None), (2, 16, 3), (3, 32, 4)]:

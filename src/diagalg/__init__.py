@@ -6,7 +6,6 @@ from .fields import (
     Polynomial,
     QQ,
     poly_splits_simply,
-    poly_squarefree_part,
 )
 from .linalg import (
     Matrix,

@@ -327,8 +327,6 @@ def criterion_6(seed):
 
 
 def _radical_corpus():
-    x = Polynomial.x(QQ)
-
     def quot(*coeffs):
         return poly_quotient_algebra(QQ, Polynomial(QQ, list(coeffs)))
 

@@ -6,8 +6,11 @@ positive denominator), and prime fields F_p, whose scalars are plain ints
 in [0, p).  Arithmetic is routed through the owning field object, so a
 scalar never crosses between fields unchecked.
 
-Roots are found on int coefficient lists (gcds mod p over F_p, Hensel
-lifting from a small prime over Q, no factoring) and certified by evaluation.
+Polynomial is a value type for the package boundary: built, multiplied,
+evaluated and printed.  Inside the package polynomials are divided only as
+int coefficient lists: roots, gcds and squarefreeness come from gcds mod p
+over F_p and from Hensel lifting from a small prime and a primitive PRS gcd
+over Q, with no factoring, and roots are certified by evaluation.
 
 Eventually periodic sequences (preperiod + repeating period) are the finite
 descriptions used for infinite diagonals and bands elsewhere in the package.
@@ -204,7 +207,11 @@ def check_same_field(a, b):
 
 class Polynomial:
     """Dense univariate polynomial over a fixed field, coefficients lowest
-    degree first, trailing zeros trimmed."""
+    degree first, trailing zeros trimmed.
+
+    A boundary value type: the package divides polynomials only as int
+    coefficient lists.  No package code calls divmod; the benchmark's
+    layer table traces it by name."""
 
     __slots__ = ("field", "coeffs")
 
@@ -311,24 +318,6 @@ class Polynomial:
                 rem[k + i] = F.sub(rem[k + i], F.mul(c, d))
         return Polynomial(F, q), Polynomial(F, rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
-
-    def derivative(self):
-        F = self.field
-        return Polynomial(F, [F.mul(F.scalar(k), c) for k, c in enumerate(self.coeffs)][1:])
-
     def __call__(self, x):
         F = self.field
         x = F.scalar(x)
@@ -350,46 +339,6 @@ class Polynomial:
                 term = f"{cs}*{term}"
             parts.append(term)
         return " + ".join(parts)
-
-
-def _pth_root(f):
-    """Inverse Frobenius for f = g(x^p) over F_p; coefficient-wise c^(1/p) = c."""
-    p = f.field.char
-    return Polynomial(f.field, [f.coeffs[i] for i in range(0, len(f.coeffs), p)])
-
-
-def poly_squarefree_part(f):
-    """The product of the distinct irreducible factors of f, monic.
-
-    Over a characteristic-p field, a vanishing derivative means f is a p-th
-    power pattern g(x^p); descent through the p-th root handles it.
-    """
-    if f.is_zero():
-        raise ZeroPolynomial("squarefree part of 0")
-    F = f.field
-    f = f.monic()
-    if f.degree == 0:
-        return f
-    d = f.derivative()
-    if d.is_zero():
-        # only possible in characteristic p
-        return poly_squarefree_part(_pth_root(f))
-    g = f.gcd(d)
-    if g.degree == 0:
-        return f
-    w = f // g  # the factors whose multiplicity is prime to char
-    if F.char == 0:
-        return w.monic()
-    # strip all w-factors out of g; what is left is a p-th power
-    c = g
-    while True:
-        d2 = c.gcd(w)
-        if d2.degree == 0:
-            break
-        c = c // d2
-    if c.degree == 0:
-        return w.monic()
-    return (w * poly_squarefree_part(_pth_root(c))).monic()
 
 
 class SplitsReport:
@@ -543,10 +492,14 @@ def _linear_roots(f, p, h=None):
     return roots
 
 
-def _coprime_z(a, b):
-    """Whether the integer polynomials a and b (deg a >= deg b, b nonzero)
-    are coprime, by the primitive pseudo-remainder sequence."""
-    while len(b) > 1:
+def _gcd_z(a, b):
+    """The primitive gcd of the integer polynomials a and b (deg a >= deg b,
+    b nonzero), up to sign, by the primitive pseudo-remainder sequence."""
+    while True:
+        g = gcd(*b)
+        b = [x // g for x in b]
+        if len(b) == 1:
+            return b
         r = list(a)
         while len(r) >= len(b):
             c = r.pop()
@@ -556,50 +509,59 @@ def _coprime_z(a, b):
             while r and not r[-1]:
                 r.pop()
         if not r:
-            return False
-        g = gcd(*r)
-        a, b = b, [x // g for x in r]
-    return True
+            return b
+        a, b = b, r
 
 
 def _roots_over_q(f):
-    """The sorted distinct rational roots of the monic f over Q, or None
-    when f has a repeated factor: r/delta for the integer roots r of the
-    monic g(y) = delta^d f(y/delta), delta the lcm of f's denominators.
+    """The sorted distinct rational roots of the monic f over Q, and whether
+    f has a repeated factor: r/delta for the integer roots r of the monic
+    g(y) = delta^d f(y/delta), delta the lcm of f's denominators.
     Past x^k, the first prime p > 32 with g mod p squarefree keeps them
     distinct mod p; they are read off every residue (cheaper at such p than
     _linear_roots), lifted by Newton steps mod p^(2^i) (Loos 1983; von zur
     Gathen-Gerhard, ch. 15) until it exceeds 2|g(0)|, as each divides g(0),
     and kept iff g vanishes there.  A repeated factor survives every prime:
-    after three failed primes the PRS of g and g' settles it."""
+    after three failed primes the primitive PRS gcd h of g and g' settles
+    it.  A nontrivial h divides the monic g over Z (Gauss), so its leading
+    coefficient is +-1, and g/h, with the same roots, each simple, goes on
+    to the next prime."""
     cs, d = f.coeffs, f.degree
     delta = lcm(*[c.denominator for c in cs])
     g = [c.numerator * delta ** (d - k) // c.denominator for k, c in enumerate(cs)]
     k = next(i for i, c in enumerate(g) if c)  # x^k divides g
-    if k > 1:
-        return None
+    repeated = k > 1
     g, dg = g[k:], _derivative(g[k:])
     for tries, p in enumerate(filter(_is_prime, itertools.count(33, 2)), 1):
         gp = [c % p for c in g]
         if len(_gcd_p(gp, _derivative(gp, p), p)) == 1:
             break
-        if tries == 3 and not _coprime_z(g, dg):
-            return None
+        if tries == 3:
+            h = _gcd_z(g, dg)
+            if len(h) > 1:
+                repeated = True
+                h = [h[-1] * c for c in h]  # monic
+                s = [0] * (len(g) - len(h) + 1)
+                for i in reversed(range(len(s))):
+                    s[i] = c = g[i + len(h) - 1]
+                    for j, y in enumerate(h):
+                        g[i + j] -= c * y
+                g, dg = s, _derivative(s)
     lifts = [r for r in range(p) if not _eval_p(gp, r, p)]
     q = p
     while q <= 2 * abs(g[0]):
         q *= q
         lifts = [(r - _eval_p(g, r, q) * pow(_eval_p(dg, r, q), -1, q)) % q for r in lifts]
     lifts = (r - q if 2 * r > q else r for r in lifts)
-    roots = [0] * k + [r for r in lifts if not sum(c * r ** e for e, c in enumerate(g))]
-    return [Fraction(r, delta) for r in sorted(roots)]
+    roots = [0] * min(k, 1) + [r for r in lifts if not sum(c * r ** e for e, c in enumerate(g))]
+    return [Fraction(r, delta) for r in sorted(roots)], repeated
 
 
 def poly_roots_in_field(f):
     """The distinct roots of f lying in its own field (irrational or
     extension-field roots are simply not reported).  Over F_p they are the
-    roots of gcd(f, x^p - x), split out by _linear_roots; over Q those of
-    the squarefree part, by _roots_over_q."""
+    roots of gcd(f, x^p - x), split out by _linear_roots; over Q
+    _roots_over_q strips repeated factors from its integer form of f."""
     if f.is_zero():
         raise ZeroPolynomial("root extraction on 0")
     F = f.field
@@ -610,7 +572,7 @@ def poly_roots_in_field(f):
         fl = list(f.monic().coeffs)
         xp = _powmod_p([0, 1], p, fl, p)
         return _linear_roots(_gcd_p(fl, _sub_p(xp, [0, 1], p), p), p)
-    return _roots_over_q(poly_squarefree_part(f))
+    return _roots_over_q(f.monic())[0]
 
 
 def poly_splits_simply(f):
@@ -621,8 +583,9 @@ def poly_splits_simply(f):
     and splitting in one test.  For odd p it is computed as x * h^2 from
     h = x^((p-1)/2) mod f, and h - 1 is then the first splitting gcd of the
     root extraction (_linear_roots), so no field element is enumerated.
-    Over Q nothing is factored: f splits simply iff it is squarefree and
-    _roots_over_q finds deg f roots, each certified by evaluation.
+    When the test fails, a nontrivial gcd(f, f') names a repeated factor.
+    Over Q nothing is factored: f splits simply iff _roots_over_q finds no
+    repeated factor and deg f roots, each certified by evaluation.
     """
     if f.is_zero():
         raise ZeroPolynomial("splitting test on 0")
@@ -638,13 +601,12 @@ def poly_splits_simply(f):
         if p % 2:
             xp = _mulmod_p(xp, [0, 1], fl, p)
         if xp != _divmod_p([0, 1], fl, p)[1]:
-            g = f.gcd(f.derivative()) if not f.derivative().is_zero() else f
-            if g.degree > 0:
+            if len(_gcd_p(fl, _derivative(fl, p), p)) > 1:
                 return SplitsReport(False, reason="repeated factor")
             return SplitsReport(False, reason="irreducible factor of degree > 1")
         return SplitsReport(True, roots=_linear_roots(fl, p, h))
-    roots = _roots_over_q(f)
-    if roots is None:
+    roots, repeated = _roots_over_q(f)
+    if repeated:
         return SplitsReport(False, reason="repeated factor")
     if len(roots) < f.degree:
         return SplitsReport(

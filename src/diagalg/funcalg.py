@@ -203,9 +203,9 @@ class AlgebraHom:
 def dual_map(phi, field):
     """The precomposition algebra map K^Y -> K^X of a set map phi: X -> Y."""
     F = field
-    one, zero = F.one, F.zero
-    rows = [[one if phi(x) == y else zero for y in range(phi.codomain)]
-            for x in range(phi.domain)]
+    rows = [[F.zero] * phi.codomain for _ in range(phi.domain)]
+    for x in range(phi.domain):
+        rows[x][phi(x)] = F.one
     return AlgebraHom(F, phi.codomain, phi.domain, Matrix._of(F, rows))
 
 

@@ -325,23 +325,6 @@ class Matrix:
         reduced, _ = rref_rows(basis, F) if basis else ([], [])
         return [list(r) for r in reduced]
 
-    def solve(self, b):
-        """One solution x of self @ x = b, or None if inconsistent."""
-        F = self.field
-        if len(b) != self.nrows:
-            raise SizeMismatch("solve rhs length mismatch")
-        aug = [list(r) + [F.scalar(x)] for r, x in zip(self.rows, b)]
-        if self.nrows == 0:
-            return [F.zero] * self.ncols
-        rows, pivots = rref_rows(aug, F, pivot_limit=self.ncols)
-        for row in rows[len(pivots):]:
-            if row[-1] != F.zero:
-                return None
-        x = [F.zero] * self.ncols
-        for r, c in enumerate(pivots):
-            x[c] = rows[r][-1]
-        return x
-
     def solve_matrix(self, B):
         """Solve self @ X = B for all columns at once; None if inconsistent."""
         F = self.field

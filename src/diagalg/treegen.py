@@ -46,9 +46,10 @@ class TreeDecomposition:
         F = self.field
         leaves = strings(self.depth)
         cols = [row for leaf in leaves for row in self.nodes[leaf].rows]
-        coords = Matrix.from_cols(F, cols).solve(list(self.w))
-        if coords is None:
+        X = Matrix.from_cols(F, cols).solve_matrix(Matrix(F, [[x] for x in self.w]))
+        if X is None:
             raise VerifyFailed("witness vector does not decompose over the leaves")
+        coords = [row[0] for row in X.rows]
         comps = {}
         offset = 0
         for leaf in leaves:

@@ -135,6 +135,15 @@ def sympy_x_power_mod(e, coeffs_low_first, p=None):
     return r
 
 
+def sympy_divides(a, b, p=None):
+    """Whether the polynomial a divides b (coefficients lowest degree
+    first): over Q, or with a prime p over F_p."""
+    x = sympy.Symbol("x")
+    opts = {} if p is None else {"modulus": p}
+    a, b = (sympy.Poly([sympy.Rational(c) for c in reversed(f)], x, **opts) for f in (a, b))
+    return b.rem(a).is_zero
+
+
 def sympy_rational_roots(coeffs_low_first):
     """(squarefree, roots) of a nonzero polynomial over Q from sympy's
     factorization: whether no irreducible factor repeats, and the sorted
@@ -311,101 +320,13 @@ def modp_rank(rows, p):
     return plain_rank(rows, p)
 
 
-# -- tiny F_p polynomial arithmetic (coefficients lowest first) ---------------
-
-def gfp_trim(f):
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def gfp_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return gfp_trim(out)
-
-
-def gfp_divmod(f, g, p):
-    f = gfp_trim(f)
-    g = gfp_trim(g)
-    inv = pow(g[-1], -1, p)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    r = list(f)
-    for k in range(len(f) - len(g), -1, -1):
-        c = (r[k + len(g) - 1] * inv) % p
-        if c:
-            q[k] = c
-            for i, gc in enumerate(g):
-                r[k + i] = (r[k + i] - c * gc) % p
-    return q, gfp_trim(r)
-
+# -- F_p polynomial evaluation (coefficients lowest first) --------------------
 
 def gfp_eval(f, x, p):
     acc = 0
     for c in reversed(f):
         acc = (acc * x + c) % p
     return acc
-
-
-def gfp_monics(deg, p):
-    """All monic polynomials of exactly this degree over F_p."""
-    if deg == 0:
-        return [[1]]
-    out = []
-    coeffs = [0] * deg
-    while True:
-        out.append(list(coeffs) + [1])
-        i = 0
-        while i < deg:
-            coeffs[i] += 1
-            if coeffs[i] < p:
-                break
-            coeffs[i] = 0
-            i += 1
-        if i == deg:
-            return out
-
-
-def gfp_factor(f, p):
-    """Factor a monic polynomial into monic irreducibles by brute-force
-    trial division; the smallest-degree nontrivial divisor found first is
-    automatically irreducible."""
-    f = gfp_trim(f)
-    factors = []
-    while len(f) > 2:
-        found = None
-        for d in range(1, len(f) - 1):
-            for cand in gfp_monics(d, p):
-                q, r = gfp_divmod(f, cand, p)
-                if not r:
-                    found = (cand, q)
-                    break
-            if found:
-                break
-        if not found:
-            break  # irreducible
-        factors.append(found[0])
-        f = found[1]
-    if len(f) > 1:
-        factors.append(f)
-    return sorted(factors)
-
-
-def gfp_radical(f, p):
-    """Product of the distinct irreducible factors (the squarefree part)."""
-    distinct = []
-    for fac in gfp_factor(f, p):
-        if fac not in distinct:
-            distinct.append(fac)
-    out = [1]
-    for fac in distinct:
-        out = gfp_mul(out, fac, p)
-    return out
 
 
 def brute_normalize_ep(values_fn, pre_bound, per_bound, horizon):

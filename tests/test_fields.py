@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from diagalg.errors import CapacityExceeded, FieldMismatch, InvariantViolated, ZeroPolynomial
+from diagalg.errors import CapacityExceeded, FieldMismatch, InvariantViolated
 from diagalg.fields import (
     EPSeq,
     GF,
@@ -15,10 +15,15 @@ from diagalg.fields import (
     _is_prime,
     poly_roots_in_field,
     poly_splits_simply,
-    poly_squarefree_part,
 )
 
-from oracles import brute_normalize_ep, gfp_eval, gfp_radical, sympy_rational_roots
+from oracles import (
+    brute_normalize_ep,
+    count_calls,
+    gfp_eval,
+    sympy_divides,
+    sympy_rational_roots,
+)
 
 
 def P(field, *coeffs):
@@ -76,49 +81,6 @@ class TestFields:
             P(QQ, 1) + P(GF(2), 1)
 
 
-class TestSquarefree:
-    def test_repeated_root_over_q(self):
-        # x^2 -> x
-        assert poly_squarefree_part(P(QQ, 0, 0, 1)) == P(QQ, 0, 1)
-
-    def test_already_squarefree(self):
-        f = P(QQ, -1, 0, 1)
-        assert poly_squarefree_part(f) == f
-
-    def test_f2_with_pth_power_factor(self):
-        # x^3 + x = x (x+1)^2 over F_2; radical is x^2 + x
-        F = GF(2)
-        f = P(F, 0, 1, 0, 1)
-        expected = gfp_radical([0, 1, 0, 1], 2)
-        assert expected == [0, 1, 1]
-        assert poly_squarefree_part(f) == Polynomial(F, expected)
-
-    def test_derivative_vanishes(self):
-        # (x+1)^2 = x^2 + 1 over F_2 has zero derivative
-        F = GF(2)
-        assert poly_squarefree_part(P(F, 1, 0, 1)) == P(F, 1, 1)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroPolynomial):
-            poly_squarefree_part(Polynomial.zero(QQ))
-
-    def test_squarefree_properties_random(self):
-        rng = random.Random(7)
-        for _ in range(150):
-            p = rng.choice([2, 3, 5, 7])
-            F = GF(p)
-            f = Polynomial(F, [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1])
-            r = poly_squarefree_part(f)
-            assert (f % r).is_zero()
-            d = r.derivative()
-            assert d.is_zero() and r.degree == 0 or r.gcd(d).degree == 0
-        for _ in range(100):
-            f = Polynomial(QQ, [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 6))] + [1])
-            r = poly_squarefree_part(f)
-            assert (f % r).is_zero()
-            assert r.gcd(r.derivative()).degree == 0
-
-
 class TestSplitsSimply:
     def test_symmetric_roots(self):
         rep = poly_splits_simply(P(QQ, -1, 0, 1))
@@ -153,20 +115,8 @@ class TestSplitsSimply:
             f = Polynomial(F, [rng.randrange(p) for _ in range(deg)] + [1])
             coeffs = list(f.coeffs)
             roots = [a for a in range(p) if gfp_eval(coeffs, a, p) == 0]
-            # multiplicity count by repeated deflation
-            total_mult = 0
-            simple = True
-            for a in roots:
-                g = f
-                mult = 0
-                lin = P(F, (-a) % p, 1)
-                while (g % lin).is_zero():
-                    g = g // lin
-                    mult += 1
-                total_mult += mult
-                if mult > 1:
-                    simple = False
-            expected = simple and total_mult == f.degree
+            simple = not any(sympy_divides([a * a % p, -2 * a % p, 1], coeffs, p) for a in roots)
+            expected = simple and len(roots) == f.degree
             rep = poly_splits_simply(f)
             assert rep.splits == expected
             if rep.splits:
@@ -242,6 +192,21 @@ class TestSplitsSimply:
         f = Polynomial.from_roots(QQ, [r, Fraction(-3, 7)])
         assert poly_splits_simply(f).roots == [Fraction(-3, 7), r]
         assert poly_roots_in_field(f * f * P(QQ, 2, 0, 1)) == [Fraction(-3, 7), r]
+
+    def test_repeated_factors_and_reasons_without_polynomial_division(self, monkeypatch):
+        # repeated factors are stripped over Z and reasons named mod p on int
+        # lists, so no Polynomial is divided
+        calls = count_calls(monkeypatch, Polynomial, ("__divmod__",))
+        r = Fraction(-3, 4)
+        f = Polynomial.from_roots(QQ, [r, r, r, 2, 0, 0]) * P(QQ, -2, 0, 1) * P(QQ, -2, 0, 1)
+        assert poly_roots_in_field(f * Fraction(3, 2)) == [r, Fraction(0), Fraction(2)]
+        F = GF(5)
+        assert poly_splits_simply(Polynomial.from_roots(F, [1, 1, 2])).reason == "repeated factor"
+        # (x - 1)^5 = x^5 - 1 over F_5 has derivative 0
+        assert poly_splits_simply(P(F, -1, 0, 0, 0, 0, 1)).reason == "repeated factor"
+        assert poly_splits_simply(P(F, 2, 0, 1) * P(F, 0, 1)).reason == \
+            "irreducible factor of degree > 1"
+        assert calls == {"__divmod__": 0}
 
 
 # primes of 13 to 17 digits, from sympy rather than the package's own test
@@ -322,7 +287,6 @@ class TestPolynomialRing:
         g = P(QQ, 1, 1)
         q, r = divmod(f, g)
         assert q * g + r == f and r.is_zero()
-        assert f.gcd(g) == P(QQ, 1, 1)
 
 
 class TestEPSeq:

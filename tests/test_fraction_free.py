@@ -27,6 +27,7 @@ from oracles import (
     fraction_rref,
     krylov_annihilator_dense,
     plain_rank,
+    sympy_divides,
     sympy_is_minimal_polynomial,
 )
 
@@ -121,7 +122,8 @@ class TestRrefRows:
         else:
             b = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
         ref, pivots = fraction_rref([r + [x] for r, x in zip(rows, b)], pivot_limit=ncols)
-        x = Matrix(QQ, rows).solve(b)
+        X = Matrix(QQ, rows).solve_matrix(Matrix(QQ, [[x] for x in b]))
+        x = None if X is None else [row[0] for row in X.rows]
         if any(row[-1] for row in ref[len(pivots):]):
             assert x is None
             return
@@ -323,7 +325,7 @@ class TestKrylovChains:
             e = [int(j == i) for j in range(n)]
             assert list(ann.coeffs) == krylov_annihilator_dense(T, e, n, p)
             # the annihilator of each basis vector divides mu
-            assert (mu % ann).is_zero()
+            assert sympy_divides(ann.coeffs, mu.coeffs, p)
 
 
 # Jordan blocks at eigenvalues with numerators and denominators up to 10^6,

@@ -24,6 +24,7 @@ from oracles import (
     plain_rank,
     plain_solve,
     sympy_charpoly_coeffs,
+    sympy_divides,
     sympy_factor_degrees,
     sympy_poly_at,
     sympy_rational_diagonalizable,
@@ -67,10 +68,10 @@ class TestMatrixBasics:
 
     def test_solve_and_inverse(self):
         A = Matrix(QQ, [[2, 1], [1, 1]])
-        x = A.solve([3, 2])
-        assert A.matvec(x) == [Fraction(3), Fraction(2)]
+        b = Matrix(QQ, [[3], [2]])
+        assert A * A.solve_matrix(b) == b
         assert A * A.inverse() == Matrix.identity(QQ, 2)
-        assert Matrix(QQ, [[1, 1], [1, 1]]).solve([1, 0]) is None
+        assert Matrix(QQ, [[1, 1], [1, 1]]).solve_matrix(Matrix(QQ, [[1], [0]])) is None
 
     def test_kernel(self):
         A = Matrix(QQ, [[1, 1, 0], [0, 0, 1]])
@@ -85,10 +86,14 @@ class TestMatrixBasics:
             A = rand_matrix(rng, QQ, n)
             chi = oracle_charpoly(A)
             mu = minimal_polynomial(A)
-            # Cayley-Hamilton, and mu has exactly the irreducible factors of chi
+            # Cayley-Hamilton, and mu has exactly the irreducible factors of
+            # chi: mu | chi and chi | mu^n
             assert poly_at_matrix(chi, A).is_zero()
-            assert (chi % mu).is_zero()
-            assert (mu % (chi // chi.gcd(chi.derivative()))).is_zero()
+            assert sympy_divides(mu.coeffs, chi.coeffs)
+            mu_n = Polynomial.one(QQ)
+            for _ in range(n):
+                mu_n = mu_n * mu
+            assert sympy_divides(chi.coeffs, mu_n.coeffs)
 
     def test_zero_dimensional_edges(self):
         E = Matrix(QQ, [])
@@ -153,7 +158,7 @@ class TestMinimalPolynomial:
             A = rand_matrix(rng, field, rng.randint(1, 4))
             mu = minimal_polynomial(A)
             chi = oracle_charpoly(A)
-            assert (chi % mu).is_zero()
+            assert sympy_divides(mu.coeffs, chi.coeffs, field.char or None)
             assert poly_at_matrix(mu, A).is_zero()
 
 
@@ -233,10 +238,9 @@ class TestDiagonalizeFinite:
                 assert not poly_splits_simply(res.mu).splits
 
     def test_makes_no_polynomial_division(self, monkeypatch):
-        # mu from int-list products, roots without gcds: no Polynomial gcd or
-        # remainder runs over Q, nor over F_p when T is diagonalizable (a
-        # non-split mu over F_p still names its reason with Polynomial.gcd)
-        calls = count_calls(monkeypatch, Polynomial, ("gcd", "__divmod__"))
+        # mu from int-list products, roots and splitting reasons on int lists:
+        # no verdict over any field divides a Polynomial
+        calls = count_calls(monkeypatch, Polynomial, ("__divmod__",))
         rng = random.Random(8)
         verdicts = set()
         for t in range(80):
@@ -245,18 +249,14 @@ class TestDiagonalizeFinite:
             P = rand_matrix(rng, field, 4)
             if t % 8 >= 4 and P.rank() == 4:  # P D P^-1, eigenvalues drawn from 0..3
                 T = P * Matrix.diagonal(field, [rng.randrange(4) for _ in range(4)]) * P.inverse()
-            before = dict(calls)
             res = diagonalize_finite(T)
             verdicts.add((field.char > 0, res.ok))
-            if field == QQ or res.ok:
-                assert calls == before
         assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
-        # Jordan blocks: squarefreeness is settled over Z, not by Polynomial.gcd
+        # Jordan blocks: squarefreeness is settled over Z
         half = Fraction(1, 2)
-        before = dict(calls)
         for entries in ([[1, 1], [0, 1]], [[half, 1, 0], [0, half, 0], [0, 0, 5]]):
             assert not diagonalize_finite(Matrix(QQ, entries)).ok
-        assert calls == before
+        assert calls == {"__divmod__": 0}
 
     def test_large_prime_eigenvalues_over_q(self):
         # the old divisor enumeration refused these as capacity errors
